@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import os
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -327,9 +328,19 @@ def _trace_dict(trace) -> dict:
     return doc
 
 
-def run(config: RunConfig) -> tuple[E.ExperimentReport, dict[str, str]]:
-    """Execute one scenario end to end; returns (report, artifact texts)."""
-    dataset, removed = _preprocess(config, _load_dataset(config))
+def _pretrain_pool(config: RunConfig, train_set: Dataset, test_set: Dataset) -> Dataset:
+    """The training split, plus the unlabeled test series for aug2 on e2 if asked."""
+    if config.aug == "aug2" and config.aug2_unlabeled_target and config.scenario == "e2":
+        stripped = tuple(Sample(s.field_id, s.year, None, s.reflectance) for s in test_set.samples)
+        return replace(train_set, samples=train_set.samples + stripped)
+    return train_set
+
+
+def run(
+    config: RunConfig, raw: Dataset | None = None
+) -> tuple[E.ExperimentReport, dict[str, str]]:
+    """Execute one scenario on `raw` (loaded if None); returns (report, artifact texts)."""
+    dataset, removed = _preprocess(config, _load_dataset(config) if raw is None else raw)
     spec = _scenario_spec(config, dataset)
     train_set, test_set, moved_ids = make_split(dataset, spec)
     truth = test_set.labels_array()
@@ -357,18 +368,9 @@ def run(config: RunConfig) -> tuple[E.ExperimentReport, dict[str, str]]:
         policy = AugmentationPolicy(
             config.aug, dn_scale=cfg.dn_scale, spike_both=config.spike_both
         )
-        pool = train_set
-        if (
-            config.aug == "aug2"
-            and config.aug2_unlabeled_target
-            and config.scenario == "e2"
-        ):
-            stripped = tuple(
-                Sample(s.field_id, s.year, None, s.reflectance) for s in test_set.samples
-            )
-            pool = replace(train_set, samples=train_set.samples + stripped)
         backbone, pre_trace = pretrain(
-            pool, policy, cfg, _encoder_config(config, dataset), _simsiam_config(config)
+            _pretrain_pool(config, train_set, test_set), policy, cfg,
+            _encoder_config(config, dataset), _simsiam_config(config),
         )
         tuned, ft_trace = finetune(backbone, train_set, cfg)
         pred = _predict_batched(tuned, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
@@ -433,7 +435,8 @@ def _method_tokens(text: str) -> list[tuple[str, str | None]]:
 def run_matrix(
     settings: dict[str, object], out_dir: Path, jobs: int = 1
 ) -> str:
-    """Run every (method, scenario) cell; failed cells become `error`."""
+    """Run every (method, scenario) cell on data loaded once; failed cells become
+    `error` and leave their traceback in `<label>_<scenario>/error.txt`."""
     methods = _method_tokens(str(settings["methods"]))
     scenarios = [s.strip() for s in str(settings["scenarios"]).split(",") if s.strip()]
     cells: dict[tuple[int, str], RunConfig] = {}
@@ -444,17 +447,20 @@ def run_matrix(
             )
 
     results: dict[tuple[int, str], str] = {}
+    sample = next(iter(cells.values()))
+    raw = _load_dataset(sample)  # every cell shares the data source
 
     def one(key: tuple[int, str]) -> tuple[tuple[int, str], str]:
         mi, scen = key
         config = cells[key]
         label = config.method if config.aug is None else f"{config.method}+{config.aug}"
         try:
-            report, files = run(config)
+            report, files = run(config, raw)
             write_artifacts(out_dir / f"{label}_{scen}", files)
             return key, repr(report.overall)
         except Exception as exc:  # cell failures must not kill the matrix
             print(f"[matrix] {label}/{scen} failed: {exc}", file=sys.stderr)
+            write_artifacts(out_dir / f"{label}_{scen}", {"error.txt": traceback.format_exc()})
             return key, "error"
 
     if jobs > 1:
@@ -465,8 +471,7 @@ def run_matrix(
         for key in sorted(cells):
             results[key] = one(key)[1]
 
-    sample = next(iter(cells.values()))
-    dataset, _ = _preprocess(sample, _load_dataset(sample))
+    dataset, _ = _preprocess(sample, raw)
     lines = ["method," + ",".join(s.upper() for s in scenarios)]
     for mi, (method, aug) in enumerate(methods):
         label = method if aug is None else f"{method}+{aug}"
@@ -564,17 +569,6 @@ def _normalize_finetune_mode(settings: dict[str, object]) -> None:
         settings["finetune_mode"] = "linear_probe"
 
 
-def _dataset_from_settings(settings: dict[str, object]) -> Dataset:
-    if settings["data"]:
-        return load_csv(str(settings["data"]))
-    return generate(settings_to_synthconfig(settings))
-
-
-def _split_from_settings(settings, dataset):
-    config = settings_to_runconfig(settings, method="tf", scenario=str(settings["scenario"]))
-    return make_split(dataset, _scenario_spec(config, dataset))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -626,12 +620,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         train_set, test_set, _ = make_split(dataset, spec)
         cfg = config.train
         policy = AugmentationPolicy(config.aug, dn_scale=cfg.dn_scale, spike_both=config.spike_both)
-        pool = train_set
-        if config.aug == "aug2" and config.aug2_unlabeled_target and config.scenario == "e2":
-            stripped = tuple(Sample(s.field_id, s.year, None, s.reflectance) for s in test_set.samples)
-            pool = replace(train_set, samples=train_set.samples + stripped)
         state, trace = pretrain(
-            pool, policy, cfg, _encoder_config(config, dataset), _simsiam_config(config)
+            _pretrain_pool(config, train_set, test_set), policy, cfg,
+            _encoder_config(config, dataset), _simsiam_config(config),
         )
         write_artifacts(out_dir, {
             "pretrained.json": M.checkpoint_text(state),

@@ -4,6 +4,15 @@ CART trees with Gini impurity, bootstrap resampling, a random feature
 subset re-drawn at every node, and midpoint thresholds between adjacent
 distinct values.  Each tree owns a generator spawned deterministically
 from the forest seed, so results are independent of fit/predict order.
+
+Split search (XGBoost's column-block exact search, arXiv:1603.02754): a
+node scans one permutation of the features in blocks of the next
+`max_features - found` columns.  One numpy pass per block sorts every
+column, accumulates class counts and scores the weighted Gini of each
+boundary between distinct values with >= `min_leaf` samples per side.
+Columns without such a boundary do not count; the scan stops after the
+first `max_features` valid features.  Ties go to the feature scanned
+first, then to the smaller threshold.
 """
 
 from __future__ import annotations
@@ -72,30 +81,27 @@ class Forest:
     config: ForestConfig = field(default_factory=ForestConfig)
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
-    """Best (gini, threshold) split of one feature column, or None."""
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    onehot = np.zeros((len(ys), n_classes))
-    onehot[np.arange(len(ys)), ys] = 1.0
+def _block_splits(xb: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
+    """Best split of each column of `xb` (n x k): gini (inf if none), threshold, valid."""
+    n, k = xb.shape
+    order = np.argsort(xb, axis=0, kind="stable")
+    xs = np.take_along_axis(xb, order, axis=0)
+    onehot = (y[order][:, :, None] == np.arange(n_classes)).astype(np.float64)
     cum = onehot.cumsum(axis=0)
-    total = cum[-1]
-    n = len(ys)
-    # candidate boundaries: between adjacent distinct values, honoring min_leaf
-    cuts = np.nonzero(xs[:-1] < xs[1:])[0]
-    cuts = cuts[(cuts + 1 >= min_leaf) & (n - cuts - 1 >= min_leaf)]
-    if len(cuts) == 0:
-        return None
-    nl = (cuts + 1).astype(np.float64)
+    # boundary b lies between sorted rows b and b + 1
+    nl = np.arange(1, n, dtype=np.float64)
     nr = n - nl
-    left = cum[cuts]
-    right = total - left
-    gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-    gr = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-    weighted = (nl * gl + nr * gr) / n
-    best = int(weighted.argmin())  # first minimum -> smallest threshold
-    thr = 0.5 * (xs[cuts[best]] + xs[cuts[best] + 1])
-    return float(weighted[best]), float(thr)
+    left = cum[:-1]
+    right = cum[-1] - left
+    gl = 1.0 - ((left / nl[:, None, None]) ** 2).sum(axis=2)
+    gr = 1.0 - ((right / nr[:, None, None]) ** 2).sum(axis=2)
+    weighted = (nl[:, None] * gl + nr[:, None] * gr) / n
+    valid = (xs[:-1] < xs[1:]) & ((nl >= min_leaf) & (nr >= min_leaf))[:, None]
+    weighted[~valid] = np.inf
+    best = weighted.argmin(axis=0)  # first minimum -> smallest threshold
+    cols = np.arange(k)
+    thr = 0.5 * (xs[best, cols] + xs[best + 1, cols])
+    return weighted[best, cols], thr, valid.any(axis=0)
 
 
 def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, n_classes: int,
@@ -104,7 +110,8 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, n_classes: int,
     max_features = cfg.max_features or max(1, math.floor(math.sqrt(n_features)))
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
-        counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+        yi = y[idx]
+        counts = np.bincount(yi, minlength=n_classes).astype(np.float64)
         node = TreeNode(counts)
         if (
             (counts > 0).sum() <= 1
@@ -112,23 +119,24 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, n_classes: int,
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
         ):
             return node
-        # Scan a random feature order; stop once max_features candidates
-        # produced a valid split (constant features do not count).
+        # Scan a random feature order block by block; stop once max_features
+        # candidates produced a valid split (constant features do not count).
+        perm = rng.permutation(n_features)
+        Xi = X[idx]
         best = None
-        found = 0
-        for f in rng.permutation(n_features):
-            res = _best_split(X[idx, f], y[idx], n_classes, cfg.min_leaf)
-            if res is None:
-                continue
-            found += 1
-            if best is None or res[0] < best[0]:
-                best = (res[0], int(f), res[1])
-            if found >= max_features:
-                break
+        found = pos = 0
+        while found < max_features and pos < n_features:
+            block = perm[pos : pos + max_features - found]
+            pos += len(block)
+            ginis, thrs, valid = _block_splits(Xi[:, block], yi, n_classes, cfg.min_leaf)
+            found += int(valid.sum())
+            j = int(ginis.argmin())  # first minimum -> earliest in scan order
+            if valid[j] and (best is None or ginis[j] < best[0]):
+                best = (float(ginis[j]), int(block[j]), float(thrs[j]))
         if best is None:
             return node
         _, node.feature, node.threshold = best
-        mask = X[idx, node.feature] <= node.threshold
+        mask = Xi[:, node.feature] <= node.threshold
         node.left = build(idx[mask], depth + 1)
         node.right = build(idx[~mask], depth + 1)
         return node

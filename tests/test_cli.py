@@ -128,6 +128,25 @@ class TestMatrix:
         assert row[0] == "rf"
         assert 0.0 <= float(row[1]) <= 1.0
         assert row[2] == "error"
+        error = (tmp_path / "rf_e2" / "error.txt").read_text()
+        assert error.startswith("Traceback")
+        assert "ValueError" in error
+        assert not (tmp_path / "rf_e1" / "error.txt").exists()
+
+    def test_data_is_loaded_once(self, tmp_path, monkeypatch):
+        csv = tmp_path / "data.csv"
+        cli.write_csv(cli.generate(cli.settings_to_synthconfig(tiny_settings())), csv)
+        calls = []
+
+        def counting_load_csv(path):
+            calls.append(path)
+            return load_csv(path)
+
+        monkeypatch.setattr(cli, "load_csv", counting_load_csv)
+        settings = tiny_settings(data=str(csv), methods="rf", scenarios="e1,e2,e3,e4")
+        summary = run_matrix(settings, tmp_path / "out", jobs=2)
+        assert calls == [str(csv)]
+        assert "error" not in summary
 
     def test_jobs_do_not_change_results(self, tmp_path):
         settings = tiny_settings(methods="rf,ssl:aug2", scenarios="e1,e2")

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from sslcrop import forest as forest_mod
 from sslcrop.dataio import CropClass, Dataset, Sample
-from sslcrop.forest import Forest, ForestConfig, gini, rf_fit, rf_predict
+from sslcrop.forest import Forest, ForestConfig, TreeNode, gini, rf_fit, rf_predict
 
 
 def dataset_from_features(X, labels):
@@ -60,9 +63,14 @@ class TestFit:
         d = dataset_from_features(X.tolist(), y)
         a = rf_predict(rf_fit(d, ForestConfig(n_trees=7, seed=5)), d)
         b = rf_predict(rf_fit(d, ForestConfig(n_trees=7, seed=5)), d)
-        c = rf_predict(rf_fit(d, ForestConfig(n_trees=7, seed=6)), d)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, c) or True  # different seed may still agree
+
+        def roots(seed):
+            forest = rf_fit(d, ForestConfig(n_trees=7, seed=seed))
+            return [(t.root.feature, t.root.threshold) for t in forest.trees]
+
+        assert roots(5) == roots(5)
+        assert roots(5) != roots(6)
 
 
 class TestPredict:
@@ -104,3 +112,113 @@ class TestConfig:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ForestConfig(n_trees=0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-feature scalar split search the block search replaced
+
+
+def _reference_best_split(x, y, n_classes, min_leaf):
+    """Best (gini, threshold) split of one feature column, or None."""
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    onehot = np.zeros((len(ys), n_classes))
+    onehot[np.arange(len(ys)), ys] = 1.0
+    cum = onehot.cumsum(axis=0)
+    total = cum[-1]
+    n = len(ys)
+    # candidate boundaries: between adjacent distinct values, honoring min_leaf
+    cuts = np.nonzero(xs[:-1] < xs[1:])[0]
+    cuts = cuts[(cuts + 1 >= min_leaf) & (n - cuts - 1 >= min_leaf)]
+    if len(cuts) == 0:
+        return None
+    nl = (cuts + 1).astype(np.float64)
+    nr = n - nl
+    left = cum[cuts]
+    right = total - left
+    gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+    gr = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+    weighted = (nl * gl + nr * gr) / n
+    best = int(weighted.argmin())  # first minimum -> smallest threshold
+    thr = 0.5 * (xs[cuts[best]] + xs[cuts[best] + 1])
+    return float(weighted[best]), float(thr)
+
+
+def _reference_grow(X, y, cfg, n_classes, rng):
+    n_features = X.shape[1]
+    max_features = cfg.max_features or max(1, math.floor(math.sqrt(n_features)))
+
+    def build(idx, depth):
+        counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+        node = TreeNode(counts)
+        if (
+            (counts > 0).sum() <= 1
+            or len(idx) < 2 * cfg.min_leaf
+            or (cfg.max_depth is not None and depth >= cfg.max_depth)
+        ):
+            return node
+        best = None
+        found = 0
+        for f in rng.permutation(n_features):
+            res = _reference_best_split(X[idx, f], y[idx], n_classes, cfg.min_leaf)
+            if res is None:
+                continue
+            found += 1
+            if best is None or res[0] < best[0]:
+                best = (res[0], int(f), res[1])
+            if found >= max_features:
+                break
+        if best is None:
+            return node
+        _, node.feature, node.threshold = best
+        mask = X[idx, node.feature] <= node.threshold
+        node.left = build(idx[mask], depth + 1)
+        node.right = build(idx[~mask], depth + 1)
+        return node
+
+    return build(np.arange(len(X)), 0)
+
+
+def _nodes(node):
+    """Pre-order (feature, threshold, counts) of every node of a tree."""
+    out = [(node.feature, node.threshold, node.counts.tolist())]
+    if node.feature >= 0:
+        out += _nodes(node.left) + _nodes(node.right)
+    return out
+
+
+def _awkward_features(seed, n=60, n_features=9):
+    """Continuous, rounded (many ties) and constant columns, mixed."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n_features)) * 3.0 + 20.0
+    X[:, 1::3] = np.round(X[:, 1::3])
+    X[:, 2] = np.round(X[:, 2] / 4.0) * 4.0
+    X[:, 4] = 7.0
+    X[:, 7] = 0.0
+    y = rng.integers(1, 7, size=n)
+    return dataset_from_features(X.tolist(), y.tolist())
+
+
+class TestBlockSplitSearch:
+    @pytest.mark.parametrize("max_features", [None, 1, 9])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [None, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trees_match_scalar_reference(self, monkeypatch, seed, max_depth, min_leaf,
+                                          max_features):
+        d = _awkward_features(seed)
+        cfg = ForestConfig(n_trees=4, max_features=max_features, min_leaf=min_leaf,
+                           max_depth=max_depth, seed=seed)
+        fast = rf_fit(d, cfg)
+        monkeypatch.setattr(forest_mod, "_grow", _reference_grow)
+        slow = rf_fit(d, cfg)
+        assert len(fast.trees) == len(slow.trees)
+        for a, b in zip(fast.trees, slow.trees):
+            assert _nodes(a.root) == _nodes(b.root)
+        assert np.array_equal(rf_predict(fast, d), rf_predict(slow, d))
+
+    def test_all_constant_columns_make_a_leaf(self):
+        d = dataset_from_features([[3.0, 5.0]] * 6, [1, 2, 1, 2, 1, 2])
+        forest = rf_fit(d, ForestConfig(n_trees=2, max_features=1, seed=0))
+        for tree in forest.trees:
+            assert tree.root.feature == -1
