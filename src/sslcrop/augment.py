@@ -52,7 +52,7 @@ class AugmentationPolicy:
 def _same_class_pair(
     pool: Dataset, crop: CropClass, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    idx = [i for i, s in enumerate(pool.samples) if s.label == crop]
+    idx = pool.class_indices.get(crop, [])
     if len(idx) < 2:
         raise InsufficientClassError(
             f"class {crop.label!r} has {len(idx)} sample(s); need >= 2 for a pair"

@@ -16,8 +16,6 @@ import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation as E
 from . import model as M
 from .augment import AugmentationPolicy
@@ -288,19 +286,18 @@ def _preprocess(config: RunConfig, dataset: Dataset) -> tuple[Dataset, tuple[str
     return dataset, removed
 
 
-def _scenario_spec(config: RunConfig, dataset: Dataset) -> ScenarioSpec:
+def _prepare(config: RunConfig, raw: Dataset | None = None) -> tuple:
+    """Preprocess `raw` (loaded if None) and split it for the scenario: (dataset,
+    removed series, spec, train, test, ids of target-year samples in train)."""
+    dataset, removed = _preprocess(config, _load_dataset(config) if raw is None else raw)
     target = config.target_year
     if target is None and config.scenario != "e1":
         if config.synth is not None and config.synth.divergent_year is not None:
             target = config.synth.divergent_year
         else:
             target = max(dataset.years())
-    return ScenarioSpec(
-        kind=config.scenario,
-        target_year=target,
-        seed=config.seed,
-        e1_stratify=config.e1_stratify,
-    )
+    spec = ScenarioSpec(config.scenario, target, seed=config.seed, e1_stratify=config.e1_stratify)
+    return (dataset, removed, spec, *make_split(dataset, spec))
 
 
 def _encoder_config(config: RunConfig, dataset: Dataset) -> EncoderConfig:
@@ -313,13 +310,6 @@ def _simsiam_config(config: RunConfig) -> M.SimSiamConfig:
     return M.SimSiamConfig(**dict(config.simsiam_overrides))
 
 
-def _predict_batched(state: M.ModelState, X: np.ndarray, batch_size: int) -> np.ndarray:
-    parts = [
-        M.predict_classes(state, X[i : i + batch_size]) for i in range(0, len(X), batch_size)
-    ]
-    return np.concatenate(parts)
-
-
 def _trace_dict(trace) -> dict:
     doc = {"losses": trace.losses}
     if trace.collapse is not None:
@@ -328,21 +318,21 @@ def _trace_dict(trace) -> dict:
     return doc
 
 
-def _pretrain_pool(config: RunConfig, train_set: Dataset, test_set: Dataset) -> Dataset:
-    """The training split, plus the unlabeled test series for aug2 on e2 if asked."""
+def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set: Dataset):
+    """Pre-train on the training split, plus the unlabeled test series for aug2 on e2 if asked."""
+    pool = train_set
     if config.aug == "aug2" and config.aug2_unlabeled_target and config.scenario == "e2":
         stripped = tuple(Sample(s.field_id, s.year, None, s.reflectance) for s in test_set.samples)
-        return replace(train_set, samples=train_set.samples + stripped)
-    return train_set
+        pool = replace(train_set, samples=train_set.samples + stripped)
+    policy = AugmentationPolicy(config.aug, dn_scale=config.train.dn_scale, spike_both=config.spike_both)
+    return pretrain(pool, policy, config.train, _encoder_config(config, dataset), _simsiam_config(config))
 
 
 def run(
     config: RunConfig, raw: Dataset | None = None
 ) -> tuple[E.ExperimentReport, dict[str, str]]:
     """Execute one scenario on `raw` (loaded if None); returns (report, artifact texts)."""
-    dataset, removed = _preprocess(config, _load_dataset(config) if raw is None else raw)
-    spec = _scenario_spec(config, dataset)
-    train_set, test_set, moved_ids = make_split(dataset, spec)
+    dataset, removed, spec, train_set, test_set, moved_ids = _prepare(config, raw)
     truth = test_set.labels_array()
     files: dict[str, str] = {}
     extras: dict = {"removed_constant_series": list(removed)}
@@ -359,21 +349,15 @@ def run(
         state, trace = train_supervised(
             train_set, cfg, _encoder_config(config, dataset), _simsiam_config(config)
         )
-        pred = _predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
+        pred = M.predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
         traces["train"] = _trace_dict(trace)
         files["train_trace.csv"] = trace.to_csv()
         files["model.json"] = M.checkpoint_text(state)
         method_tag = "TF"
     else:
-        policy = AugmentationPolicy(
-            config.aug, dn_scale=cfg.dn_scale, spike_both=config.spike_both
-        )
-        backbone, pre_trace = pretrain(
-            _pretrain_pool(config, train_set, test_set), policy, cfg,
-            _encoder_config(config, dataset), _simsiam_config(config),
-        )
+        backbone, pre_trace = _pretrain(config, dataset, train_set, test_set)
         tuned, ft_trace = finetune(backbone, train_set, cfg)
-        pred = _predict_batched(tuned, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
+        pred = M.predict_batched(tuned, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
         traces["pretrain"] = _trace_dict(pre_trace)
         traces["finetune"] = _trace_dict(ft_trace)
         files["pretrain_trace.csv"] = pre_trace.to_csv()
@@ -615,15 +599,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if command == "pretrain":
         aug = settings["aug"] or "aug1"
         config = settings_to_runconfig(settings, method="ssl", aug=str(aug))
-        dataset, _ = _preprocess(config, _load_dataset(config))
-        spec = _scenario_spec(config, dataset)
-        train_set, test_set, _ = make_split(dataset, spec)
-        cfg = config.train
-        policy = AugmentationPolicy(config.aug, dn_scale=cfg.dn_scale, spike_both=config.spike_both)
-        state, trace = pretrain(
-            _pretrain_pool(config, train_set, test_set), policy, cfg,
-            _encoder_config(config, dataset), _simsiam_config(config),
-        )
+        dataset, _, spec, train_set, test_set, _ = _prepare(config)
+        state, trace = _pretrain(config, dataset, train_set, test_set)
         write_artifacts(out_dir, {
             "pretrained.json": M.checkpoint_text(state),
             "pretrain_trace.csv": trace.to_csv(),
@@ -635,13 +612,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if command == "finetune":
         config = settings_to_runconfig(settings, method="tf")
-        dataset, _ = _preprocess(config, _load_dataset(config))
-        spec = _scenario_spec(config, dataset)
-        train_set, test_set, _ = make_split(dataset, spec)
+        dataset, _, spec, train_set, test_set, _ = _prepare(config)
         backbone = M.load_checkpoint(args.checkpoint)
         cfg = config.train
         tuned, trace = finetune(backbone, train_set, cfg)
-        pred = _predict_batched(tuned, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
+        pred = M.predict_batched(tuned, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
         report = E.build_report(
             spec.kind, "TF", dataset, pred, test_set.labels_array(),
             seeds={"master": config.seed}, traces={"finetune": _trace_dict(trace)},
@@ -656,9 +631,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if command == "eval":
         config = settings_to_runconfig(settings, method="tf")
-        dataset, _ = _preprocess(config, _load_dataset(config))
-        spec = _scenario_spec(config, dataset)
-        train_set, test_set, _ = make_split(dataset, spec)
+        dataset, _, spec, train_set, test_set, _ = _prepare(config)
         state = M.load_checkpoint(args.checkpoint)
         cfg = config.train
         truth = test_set.labels_array()
@@ -669,7 +642,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
             tag = "contrastive"
         else:
-            pred = _predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
+            pred = M.predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
             tag = "TF"
         report = E.build_report(
             spec.kind, tag, dataset, pred, truth, seeds={"master": config.seed}
@@ -692,11 +665,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 raise ConfigError("--source encoder needs --checkpoint")
             state = M.load_checkpoint(args.checkpoint)
             X = dataset.time_major() / config.train.dn_scale
-            parts = [
-                M.encode(state, X[i : i + config.train.batch_size]).data
-                for i in range(0, len(X), config.train.batch_size)
-            ]
-            emb = np.concatenate(parts)
+            emb = M.encode_batched(state, X, config.train.batch_size)
         else:
             emb = dataset.feature_matrix()
         coords, ratios = E.pca_project(emb, k=2)

@@ -16,6 +16,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -125,6 +126,15 @@ class Dataset:
     @property
     def n_bands(self) -> int:
         return len(self.band_ids)
+
+    @cached_property
+    def class_indices(self) -> dict[CropClass, list[int]]:
+        """Positions of each labeled class's samples, in pool order (built once)."""
+        out: dict[CropClass, list[int]] = {}
+        for i, s in enumerate(self.samples):
+            if s.label is not None:
+                out.setdefault(s.label, []).append(i)
+        return out
 
     def subset(self, indices: Iterable[int]) -> "Dataset":
         return replace(self, samples=tuple(self.samples[i] for i in indices))

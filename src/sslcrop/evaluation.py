@@ -16,6 +16,7 @@ import numpy as np
 from . import model as M
 from .dataio import CLASS_INDEX_MAPPING, Dataset, Sample
 from .model import ModelState
+from .tensor import Tensor
 
 
 def overall_accuracy(pred: Sequence[int], truth: Sequence[int]) -> float:
@@ -69,8 +70,9 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _heads_values(state: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = M.project(state, M.encode(state, batch), training=False)
-    p = M.predict_head(state, z, training=False)
+    view = M.constant_view(state)
+    z = M.project(view, Tensor(M.encode_batched(state, batch)), training=False)
+    p = M.predict_head(view, z, training=False)
     return z.data, p.data
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,34 +172,13 @@ def classifier_params(state: ModelState) -> dict[str, Tensor]:
 
 
 def _linear(x: Tensor, state: ModelState, name: str) -> Tensor:
-    return T.add_bias(T.matmul(x, state.params[f"{name}.w"]), state.params[f"{name}.b"])
-
-
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, t, d = x.shape
-    dh = d // n_heads
-    x = T.reshape(x, (b, t, n_heads, dh))
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (b * n_heads, t, dh))
-
-
-def _merge_heads(x: Tensor, n_heads: int) -> Tensor:
-    bh, t, dh = x.shape
-    b = bh // n_heads
-    x = T.reshape(x, (b, n_heads, t, dh))
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (b, t, n_heads * dh))
+    return T.linear(x, state.params[f"{name}.w"], state.params[f"{name}.b"])
 
 
 def _attention(x: Tensor, state: ModelState, layer: int) -> Tensor:
-    h = state.encoder.n_heads
-    dh = state.encoder.d_model // h
-    q = _split_heads(_linear(x, state, f"enc{layer}.attn.q"), h)
-    k = _split_heads(_linear(x, state, f"enc{layer}.attn.k"), h)
-    v = _split_heads(_linear(x, state, f"enc{layer}.attn.v"), h)
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    ctx = T.matmul(T.softmax_rows(scores), v)
-    return _linear(_merge_heads(ctx, h), state, f"enc{layer}.attn.o")
+    """x plus the layer's self-attention (the residual branch before ln1)."""
+    params = [state.params[f"enc{layer}.attn.{proj}.{part}"] for proj in "qkvo" for part in "wb"]
+    return T.attention(x, *params, n_heads=state.encoder.n_heads)
 
 
 def encode(state: ModelState, batch) -> Tensor:
@@ -215,15 +194,11 @@ def encode(state: ModelState, batch) -> Tensor:
     x = T.scale(_linear(x, state, "embed"), math.sqrt(cfg.d_model))
     pos = np.ascontiguousarray(np.broadcast_to(state.pos, x.shape))
     x = T.add(x, Tensor(pos))
+    p = state.params
     for i in range(cfg.n_layers):
-        attn = _attention(x, state, i)
-        x = T.layer_norm(
-            T.add(x, attn), state.params[f"enc{i}.ln1.gain"], state.params[f"enc{i}.ln1.bias"]
-        )
+        x = T.layer_norm(_attention(x, state, i), p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
         ff = _linear(T.relu(_linear(x, state, f"enc{i}.ff1")), state, f"enc{i}.ff2")
-        x = T.layer_norm(
-            T.add(x, ff), state.params[f"enc{i}.ln2.gain"], state.params[f"enc{i}.ln2.bias"]
-        )
+        x = T.layer_norm(T.add(x, ff), p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
     return T.max_axis(x, axis=1)
 
 
@@ -310,10 +285,28 @@ def classify(state: ModelState, batch) -> Tensor:
     return _linear(encode(state, batch), state, "clf")
 
 
+def constant_view(state: ModelState) -> ModelState:
+    """The same model on constant tensors sharing the params' arrays (nothing is copied).
+
+    Forward passes on the view record no tape, so inference keeps no graph alive."""
+    return replace(state, params={k: Tensor(p.data) for k, p in state.params.items()})
+
+
 def predict_classes(state: ModelState, batch) -> np.ndarray:
     """Predicted class indices (1-based); argmax ties go to the lowest index."""
-    logits = classify(state, batch).data
+    logits = classify(constant_view(state), batch).data
     return logits.argmax(axis=1) + 1
+
+
+def predict_batched(state: ModelState, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """`predict_classes` over a normalized (N, n_steps, n_bands) array, batch by batch."""
+    return np.concatenate([predict_classes(state, X[i : i + batch_size]) for i in range(0, len(X), batch_size)])
+
+
+def encode_batched(state: ModelState, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Encoder embeddings (N, d_model) of a normalized array, batch by batch, on no tape."""
+    view = constant_view(state)
+    return np.concatenate([encode(view, X[i : i + batch_size]).data for i in range(0, len(X), batch_size)])
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +354,20 @@ def load_checkpoint(path: str | Path) -> ModelState:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
     encoder = EncoderConfig(**doc["encoder"])
     simsiam = SimSiamConfig(**doc["simsiam"])
-    params = {k: Tensor(_decode_array(v), requires_grad=True) for k, v in doc["params"].items()}
-    state = ModelState(encoder, simsiam, params, n_classes=doc["n_classes"])
-    state.momentum = {k: _decode_array(v) for k, v in doc["momentum"].items()}
-    state.buffers = {k: _decode_array(v) for k, v in doc["buffers"].items()}
-    return state
+    params = {k: _decode_array(v) for k, v in doc["params"].items()}
+    momentum = {k: _decode_array(v) for k, v in doc["momentum"].items()}
+    buffers = {k: _decode_array(v) for k, v in doc["buffers"].items()}
+    # names and shapes must be what the configs build, so a bad entry fails
+    # here and names its key instead of breaking a later forward pass
+    fresh = init_model(encoder, simsiam, n_classes=doc["n_classes"])
+    want = {k: p.shape for k, p in fresh.params.items()}
+    for kind, got, expected in (("param", params, want), ("momentum", momentum, want),
+                                ("buffer", buffers, {k: b.shape for k, b in fresh.buffers.items()})):
+        for key in sorted(set(got) | (set() if kind == "momentum" else set(expected))):
+            if key not in got or got[key].shape != expected.get(key):
+                have = f"shape {got[key].shape}" if key in got else "missing"
+                raise ValueError(f"{path}: {kind} {key!r}: {have}, expected {expected.get(key, 'no such key')}")
+    return ModelState(
+        encoder, simsiam, {k: Tensor(v, requires_grad=True) for k, v in params.items()},
+        momentum=momentum, buffers=buffers, n_classes=doc["n_classes"],
+    )

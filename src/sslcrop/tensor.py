@@ -1,18 +1,26 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation returns a new tensor whose parents and local backward rule
-are recorded on the tensor itself, so the computation graph doubles as the
-gradient tape.  Gradients are obtained by topologically replaying the graph
-from a scalar root.  `stop_gradient` inserts a node that backward passes
-treat as a constant, which is what the siamese pre-training loss needs.
+Every operation on a tensor that needs a gradient records its parents and
+local backward rule on the result, so the computation graph doubles as the
+gradient tape; operations on tensors that need none record nothing, which
+is how inference runs without a tape.  Gradients are obtained by
+topologically replaying the graph from a scalar root.  A tape is single
+use: the pass releases each interior node's gradient, backward rule and
+parents as soon as it has propagated them, so the graph is freed while the
+pass runs, only leaves keep a gradient, and replaying a consumed tape
+raises `GradientContractError`.  `stop_gradient` inserts a node that
+backward passes treat as a constant, which is what the siamese
+pre-training loss needs.
 
 Storage is always a row-major float64 ndarray.  Broadcasting is restricted
 to last-axis bias/gain addition and batched matmul so every backward rule
-stays easy to audit.
+stays easy to audit.  The encoder's dense layers and self-attention are
+single nodes (`linear`, `attention`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping
 
 import numpy as np
@@ -64,32 +72,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; all real work happens in the module-level functions.
-    def __add__(self, other):
-        return add(self, _lift(other, self.shape))
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.shape))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _lift(x, shape) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.full(shape, float(x)))
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient over axes that numpy broadcast during the forward."""
@@ -115,38 +97,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
 
-    if b.data.ndim == 2 and a.data.ndim >= 2:
-        # stacked rows x one weight matrix: fold the batch into single gemms
-        k, n = b.shape
+    def backward(g):
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        return ga, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
-        def backward(g):
-            g2 = g.reshape(-1, n)
-            ga = (g2 @ b.data.T).reshape(a.shape)
-            gb = a.data.reshape(-1, k).T @ g2
-            return ga, gb
-
-    else:
-
-        def backward(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            return ga, gb
-
-    return _op(out, (a, b), backward)
+    return _op(a.data @ b.data, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"add needs equal shapes, got {a.shape} and {b.shape}")
     return _op(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"sub needs equal shapes, got {a.shape} and {b.shape}")
-    return _op(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -170,19 +132,76 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _op(x.data + b.data, (x, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x, as one node (one gemm per product)."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeMismatch(f"linear needs x (..., k), w (k, n), b (n,), got {x.shape}, {w.shape}, {b.shape}")
+    k, n = w.shape
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ w.data
+    out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, x2.T @ g2, g2.sum(axis=0)
+
+    return _op(out.reshape(x.shape[:-1] + (n,)), (x, w, b), backward)
+
+
+def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
+    """x plus multi-head self-attention of (B, t, d) over t (the output projection and
+    the residual included), as one node; `params` are wq, bq, wk, bk, wv, bv, wo, bo.
+    q, k and v come from one (d, 3d) gemm and the heads are strided views of it.
+    The backward forms and sums each product in the order separate matmul/linear
+    nodes would (x's gradient as ((residual + q) + k) + v), so results are bitwise
+    those of the unfused graph."""
+    b, t, d = x.shape
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    if d % n_heads or any(p.shape != (d, d) for p in params[::2]) or any(p.shape != (d,) for p in params[1::2]):
+        raise ShapeMismatch(f"attention on {x.shape} needs (d, d) weights, (d,) biases, d % n_heads == 0")
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+    x2 = x.data.reshape(-1, d)
+    qkv = x2 @ np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    qkv += np.concatenate((bq.data, bk.data, bv.data))
+    q, k, v = qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)  # each (B, h, t, dh)
+    p = q @ k.swapaxes(-1, -2)
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = np.empty((b * t, d))
+    np.matmul(p, v, out=ctx.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3))
+    out = ctx @ wo.data
+    out += bo.data
+    out += x2
+
+    def backward(g):
+        g2 = g.reshape(-1, d)
+        g_ctx = (g2 @ wo.data.T).reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((b * t, 3 * d))
+        gq, gk, gv = g_qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+        np.matmul(p.swapaxes(-1, -2), g_ctx, out=gv)
+        gs = g_ctx @ v.swapaxes(-1, -2)  # softmax backward, then the 1/sqrt(dh) scale
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        np.matmul(gs, k, out=gq)
+        np.matmul(q.swapaxes(-1, -2), gs, out=gk.swapaxes(-1, -2))
+        gx, grads = g2, []
+        for i, w in enumerate((wq, wk, wv)):
+            g_proj = g_qkv[:, i * d : (i + 1) * d]
+            gx = gx + g_proj @ w.data.T
+            grads += [x2.T @ g_proj, g_proj.sum(axis=0)]
+        return (gx.reshape(x.shape), *grads, ctx.T @ g2, g2.sum(axis=0))
+
+    return _op(out.reshape(x.shape), (x, *params), backward)
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return _op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = a.shape
-    return _op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(int(i) for i in np.argsort(axes))
-    return _op(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -197,32 +216,34 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _op(y, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to mean 0 / variance 1, then apply gain and bias."""
+def _normalize(a: Tensor, gain: Tensor, bias: Tensor, eps: float, axis: int):
+    """Standardise along `axis`, then apply a per-feature (last axis) gain and bias."""
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    mean = a.data.mean(axis=-1, keepdims=True)
+    mean = a.data.mean(axis=axis, keepdims=True)
     centered = a.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = xhat * gain.data + bias.data
 
     def backward(g):
-        g_gain = (g * xhat).reshape(-1, d).sum(axis=0)
-        g_bias = g.reshape(-1, d).sum(axis=0)
         gx_hat = g * gain.data
         gx = inv * (
             gx_hat
-            - gx_hat.mean(axis=-1, keepdims=True)
-            - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            - gx_hat.mean(axis=axis, keepdims=True)
+            - xhat * (gx_hat * xhat).mean(axis=axis, keepdims=True)
         )
-        return gx, g_gain, g_bias
+        return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
-    return _op(out, (a, gain, bias), backward)
+    return _op(xhat * gain.data + bias.data, (a, gain, bias), backward), mean, var
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalise the last axis to mean 0 / variance 1, then apply gain and bias."""
+    return _normalize(a, gain, bias, eps, axis=-1)[0]
 
 
 def batch_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -233,39 +254,18 @@ def batch_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> tupl
     """
     if a.data.ndim != 2:
         raise ShapeMismatch(f"batch_norm expects a 2-D batch, got {a.shape}")
-    d = a.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatch(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mean = a.data.mean(axis=0)
-    centered = a.data - mean
-    var = (centered * centered).mean(axis=0)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
-
-    def backward(g):
-        g_gain = (g * xhat).sum(axis=0)
-        g_bias = g.sum(axis=0)
-        gx_hat = g * gain.data
-        gx = inv * (
-            gx_hat - gx_hat.mean(axis=0) - xhat * (gx_hat * xhat).mean(axis=0)
-        )
-        return gx, g_gain, g_bias
-
-    return _op(out, (a, gain, bias), backward), mean, var
+    out, mean, var = _normalize(a, gain, bias, eps, axis=0)
+    return out, mean[0], var[0]
 
 
 def batch_norm_eval(a: Tensor, gain: Tensor, bias: Tensor, mean: np.ndarray, var: np.ndarray,
                     eps: float = 1e-5) -> Tensor:
-    """Affine normalisation against fixed (running) statistics."""
-    inv = 1.0 / np.sqrt(var + eps)
-    scale_arr = gain.data * inv
-    out = (a.data - mean) * scale_arr + bias.data
+    """Affine normalisation against fixed (running) statistics; inference only.
 
-    def backward(g):
-        return g * scale_arr, (g * (a.data - mean) * inv).sum(axis=0), g.sum(axis=0)
-
-    return _op(out, (a, gain, bias), backward)
+    It has no backward rule: a pass that reaches it with a gradient raises.
+    """
+    out = (a.data - mean) * (gain.data * (1.0 / np.sqrt(var + eps))) + bias.data
+    return _op(out, (a, gain, bias), _no_backward)
 
 
 def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -344,6 +344,14 @@ def stop_gradient(a: Tensor) -> Tensor:
 # reverse pass and optimizer
 
 
+def _no_backward(g):
+    raise GradientContractError("batch_norm_eval has no backward rule; train with batch_norm")
+
+
+def _spent(g):  # backward rule of a node whose tape a backward pass has consumed
+    raise GradientContractError("tape already consumed by a backward pass; run the forward again")
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -364,39 +372,45 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _backward_pass(root: Tensor) -> list[Tensor]:
+    """Propagate from root, consuming the tape; returns the leaves it reached."""
     if root.size != 1:
         raise GradientContractError(f"backward root must be scalar, got shape {root.shape}")
     order = _toposort(root)
-    for node in order:
-        node.grad = None
+    leaves = [node for node in order if node._backward is None]
+    for leaf in leaves:
+        leaf.grad = None
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
-        if node._backward is None or node.grad is None:
+    while order:  # popping drops the list's reference, so a finished node is freed
+        node = order.pop()
+        rule, grad, parents = node._backward, node.grad, node._parents
+        if rule is None or grad is None:
             continue
-        for parent, g in zip(node._parents, node._backward(node.grad)):
-            if not parent.requires_grad:
+        node.grad, node._parents, node._backward = None, (), _spent
+        for parent, g in zip(parents, rule(grad)):
+            if g is None or not parent.requires_grad:
                 continue
             # grads are never mutated in place, so first-touch can alias g
             parent.grad = g if parent.grad is None else parent.grad + g
-    return order
+    return leaves
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(node) into .grad for every node reachable from root."""
+    """Set .grad to d(root)/d(leaf) on every leaf reachable from root; interior nodes
+    keep none, since the pass consumes the tape (a second call on root raises)."""
     _backward_pass(root)
 
 
 def gradients(root: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-    """Return d(root)/d(p) for every named parameter (zeros when unreachable)."""
+    """Return d(root)/d(p) for every named parameter (zeros when unreachable).
+
+    Consumes the tape like `backward`, and leaves no gradient on any leaf.
+    """
     for p in params.values():
         p.grad = None
-    order = _backward_pass(root)
-    out = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape))
-        for name, p in params.items()
-    }
-    for node in order:
-        node.grad = None
+    leaves = _backward_pass(root)
+    out = {name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape)) for name, p in params.items()}
+    for leaf in leaves:
+        leaf.grad = None
     return out
 
 

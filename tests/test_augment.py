@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from sslcrop.augment import (
     aug2,
     aug3_pair,
 )
-from sslcrop.dataio import CropClass
+from sslcrop.dataio import CropClass, Sample
 from conftest import make_dataset
 
 
@@ -51,6 +52,24 @@ class TestAug1:
         assert len(counts) == 6
         for pair, c in counts.items():
             assert abs(c / n - 1 / 6) < 0.02
+
+    def test_pairs_equal_the_per_pair_class_scan(self):
+        def scan_pair(pool, crop, rng):  # the index list rebuilt for every pair
+            idx = [i for i, s in enumerate(pool.samples) if s.label == crop]
+            i, j = rng.choice(len(idx), size=2, replace=False)
+            return pool.samples[idx[i]].reflectance, pool.samples[idx[j]].reflectance
+
+        pool = pool_of(5, seed=7)
+        order = np.random.default_rng(3).permutation(len(pool))
+        stripped = tuple(Sample(s.field_id + "u", s.year, None, s.reflectance) for s in pool.samples[:4])
+        pool = replace(pool, samples=tuple(pool.samples[i] for i in order) + stripped)
+        fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+        classes = list(CropClass)
+        for n in range(200):
+            crop = classes[n % len(classes)]
+            a, b = aug1_pair(pool, crop, fast)
+            c, d = scan_pair(pool, crop, slow)
+            assert a is c and b is d
 
     def test_single_sample_class_rejected(self):
         pool = pool_of(1)

@@ -224,6 +224,18 @@ class TestCommands:
         assert cells[1] in {str(i) for i in range(1, 7)}
         float(cells[2]), float(cells[3])
 
+    def test_export_embeddings_from_encoder(self, tmp_path):
+        base = ["--out", str(tmp_path), "--seed", "3", "--synth-n", "3", "--d-model", "8",
+                "--n-heads", "2", "--n-layers", "1", "--ff-dim", "16", "--batch-size", "16"]
+        assert main(["pretrain", "--aug", "aug1", "--epochs-pretrain", "1"] + base) == 0
+        csv = tmp_path / "emb.csv"
+        rc = main(["export-embeddings", "--source", "encoder", "--checkpoint",
+                   str(tmp_path / "pretrained.json"), "--csv", str(csv)] + base)
+        assert rc == 0
+        lines = csv.read_text().strip().split("\n")
+        assert len(lines) == 1 + 6 * 3 * 3  # batch 16 splits the 54 series into 4 batches
+        assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
+
     def test_export_embeddings_encoder_needs_checkpoint(self, tmp_path):
         rc = main(["export-embeddings", "--source", "encoder",
                    "--csv", str(tmp_path / "x.csv"), "--synth-n", "2"])

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,11 +260,84 @@ class TestCheckpoint:
         b = M.checkpoint_text(tiny_state(seed=1))
         assert a == b
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("clf.w", np.zeros(6), r"param 'clf.w': shape \(6,\), expected \(8, 6\)"),
+        ("enc0.attn.q.w", None, r"param 'enc0.attn.q.w': missing"),
+        ("enc9.ff1.b", np.zeros(3), r"param 'enc9.ff1.b': shape \(3,\), expected no such key"),
+    ])
+    def test_bad_param_named_at_load(self, tmp_path, key, value, message):
+        doc = json.loads(M.checkpoint_text(tiny_state(seed=8, n_classes=6)))
+        if value is None:
+            del doc["params"][key]
+        else:
+            doc["params"][key] = M._encode_array(value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            M.load_checkpoint(path)
+
+    def test_bad_buffer_and_momentum_named_at_load(self, tmp_path):
+        for section, key in (("buffers", "proj_bn.mean"), ("momentum", "embed.w")):
+            doc = json.loads(M.checkpoint_text(tiny_state(seed=8)))
+            doc[section][key] = M._encode_array(np.zeros(2))
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=key):
+                M.load_checkpoint(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="not a model checkpoint"):
             M.load_checkpoint(path)
+
+
+class TestTapeFreeInference:
+    def test_logits_bitwise_equal_and_state_untouched(self):
+        state = tiny_state(seed=6, n_classes=6)
+        before = {k: p.data.copy() for k, p in state.params.items()}
+        buffers = {k: v.copy() for k, v in state.buffers.items()}
+        batch = np.random.default_rng(3).normal(0.2, 0.1, (7, 5, 3))
+        taped = M.classify(state, batch)
+        view = M.constant_view(state)
+        free = M.classify(view, batch)
+        assert taped.requires_grad and not free.requires_grad and free._parents == ()
+        assert np.array_equal(free.data, taped.data)
+        assert all(view.params[k].data is p.data for k, p in state.params.items())
+        assert np.array_equal(M.predict_classes(state, batch), taped.data.argmax(axis=1) + 1)
+        for k, p in state.params.items():
+            assert np.array_equal(p.data, before[k]) and p.grad is None and p.requires_grad
+        for k, v in state.buffers.items():
+            assert np.array_equal(v, buffers[k])
+
+    def test_batched_helpers_match_one_pass(self):
+        state = tiny_state(seed=2, n_classes=6)
+        X = np.random.default_rng(4).normal(0.2, 0.1, (11, 5, 3))
+        assert np.array_equal(M.predict_batched(state, X, 4), M.predict_classes(state, X))
+        assert np.abs(M.encode_batched(state, X, 4) - M.encode(state, X).data).max() < 1e-12
+
+
+class TestMemory:
+    """Peak traced allocations at the paper-default encoder (regression guard)."""
+
+    @staticmethod
+    def peak_mib(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_training_step_and_prediction_peaks(self):
+        state = M.init_model(EncoderConfig(n_bands=13, n_steps=14), SimSiamConfig(), n_classes=6, seed=0)
+        rng = np.random.default_rng(0)
+        x1, x2 = rng.normal(0.2, 0.1, (64, 14, 13)), rng.normal(0.2, 0.1, (64, 14, 13))
+        params = {**M.encoder_params(state), **M.head_params(state)}
+        step = self.peak_mib(lambda: T.gradients(M.simsiam_forward(state, x1, x2)[0], params))
+        assert step < 100.0, step
+        X = rng.normal(0.2, 0.1, (256, 14, 13))
+        assert self.peak_mib(lambda: M.predict_classes(state, X)) < 50.0
 
 
 class TestConfigs:

@@ -216,3 +216,85 @@ class TestL2Normalize:
         out = T.l2_normalize(Tensor(np.zeros((1, 4)))).data
         assert np.all(np.isfinite(out))
         assert np.array_equal(out, np.zeros((1, 4)))
+
+
+class TestFusedNodes:
+    """linear and attention against central differences, like the composite check."""
+
+    def check(self, p, loss):
+        grads = T.gradients(loss(), p)
+        for name, param in p.items():
+            assert max_rel_err(grads[name], finite_difference(loss, param)) < 1e-6, name
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_linear_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        p = params_of(x=rng.normal(size=(2, 3, 4)), w=rng.normal(size=(4, 5)), b=rng.normal(size=5))
+        target = Tensor(rng.normal(size=(2, 3, 5)))
+        self.check(p, lambda: T.sum_all(T.mul(T.relu(T.linear(p["x"], p["w"], p["b"])), target)))
+
+    def test_linear_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(4)
+        x, w, b = Tensor(rng.normal(size=(3, 2, 4))), Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=6))
+        assert np.abs(T.linear(x, w, b).data - T.add_bias(T.matmul(x, w), b).data).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_attention_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 4
+        p = params_of(
+            x=rng.normal(size=(2, 5, d)),
+            **{f"w{c}": rng.normal(size=(d, d)) for c in "qkvo"},
+            **{f"b{c}": rng.normal(size=d) for c in "qkvo"},
+        )
+        target = Tensor(rng.normal(size=(2, 5, d)))
+
+        def loss():
+            params = [p[f"{kind}{c}"] for c in "qkvo" for kind in "wb"]
+            return T.sum_all(T.mul(T.attention(p["x"], *params, n_heads=2), target))
+
+        self.check(p, loss)
+
+
+class TestSingleUseTape:
+    def graph(self):
+        rng = np.random.default_rng(8)
+        p = params_of(w=rng.normal(size=(3, 3)), b=rng.normal(size=3))
+        hidden = T.relu(T.linear(Tensor(rng.normal(size=(4, 3))), p["w"], p["b"]))
+        return p, hidden, T.sum_all(T.softmax_rows(hidden))
+
+    def test_interior_nodes_are_released(self):
+        p, hidden, root = self.graph()
+        assert hidden._parents
+        T.gradients(root, p)
+        for node in (hidden, root):
+            assert node._parents == () and node.grad is None
+        assert all(param.grad is None for param in p.values())
+
+    def test_backward_leaves_grads_on_leaves_only(self):
+        p, hidden, root = self.graph()
+        T.backward(root)
+        assert hidden.grad is None and root.grad is None
+        assert p["w"].grad.shape == (3, 3) and p["b"].grad.shape == (3,)
+
+    def test_consumed_root_raises(self):
+        p, _, root = self.graph()
+        T.gradients(root, p)
+        with pytest.raises(GradientContractError, match="consumed"):
+            T.gradients(root, p)
+
+    def test_new_root_over_consumed_node_raises(self):
+        p, hidden, root = self.graph()
+        T.gradients(root, p)
+        with pytest.raises(GradientContractError, match="consumed"):
+            T.gradients(T.sum_all(hidden), p)
+
+    def test_constants_record_no_tape(self):
+        out = T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    def test_batch_norm_eval_refuses_a_gradient(self):
+        p = params_of(x=np.ones((2, 3)), gain=np.ones(3), bias=np.zeros(3))
+        out = T.batch_norm_eval(p["x"], p["gain"], p["bias"], np.zeros(3), np.ones(3))
+        with pytest.raises(GradientContractError, match="batch_norm_eval"):
+            T.gradients(T.sum_all(out), p)
