@@ -80,17 +80,20 @@ def aug2(
     if rng.random() < 0.5:
         # Drift: per band, a piecewise-linear curve through `drift_points`
         # interior anchors (uniform in [-1, 1], zero at both ends), rescaled
-        # so its peak equals drift_max times the band's value range.
-        out = x.copy()
-        tgrid = np.arange(n_steps, dtype=np.float64)
+        # so its peak equals drift_max times the band's value range.  All
+        # bands at once, with np.interp's arithmetic so the bits match it.
         anchors_t = np.linspace(0.0, n_steps - 1.0, policy.drift_points + 2)
-        for b in range(n_bands):
-            anchor_vals = np.concatenate(([0.0], rng.uniform(-1.0, 1.0, policy.drift_points), [0.0]))
-            curve = np.interp(tgrid, anchors_t, anchor_vals)
-            peak = np.abs(curve).max()
-            band_range = x[b].max() - x[b].min()
-            if peak > 0.0 and band_range > 0.0:
-                out[b] += curve * (policy.drift_max * band_range / peak)
+        vals = np.zeros((n_bands, policy.drift_points + 2))
+        vals[:, 1:-1] = rng.uniform(-1.0, 1.0, (n_bands, policy.drift_points))
+        tgrid = np.arange(n_steps, dtype=np.float64)
+        j = np.searchsorted(anchors_t, tgrid, side="right") - 1  # anchors_t[j] <= t
+        slopes = (vals[:, 1:] - vals[:, :-1]) / (anchors_t[1:] - anchors_t[:-1])
+        curves = slopes[:, np.minimum(j, policy.drift_points)] * (tgrid - anchors_t[j]) + vals[:, j]
+        peak = np.abs(curves).max(axis=1)
+        band_range = x.max(axis=1) - x.min(axis=1)
+        ok = (peak > 0.0) & (band_range > 0.0)
+        out = x.copy()
+        out[ok] += curves[ok] * (policy.drift_max * band_range[ok] / peak[ok])[:, None]
         return out
     sd = policy.noise_scale * policy.dn_scale
     return x + rng.normal(0.0, sd, x.shape)

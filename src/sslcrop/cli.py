@@ -416,51 +416,100 @@ def _method_tokens(text: str) -> list[tuple[str, str | None]]:
     return out
 
 
+def _pin_blas_to_one_thread() -> None:
+    """Limit every loaded OpenBLAS to one thread through its own setter; without
+    OpenBLAS (or without /proc) this does nothing."""
+    import ctypes  # here and not at the top, like multiprocessing: only matrix workers need it
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            if hasattr(lib, sym):
+                getattr(lib, sym)(1)
+                break
+
+
+_worker_cell = None  # the matrix's cell function, set in each worker process
+
+
+def _init_worker(one) -> None:
+    global _worker_cell
+    _worker_cell = one
+    _pin_blas_to_one_thread()
+
+
+def _run_cell(i: int) -> str:
+    return _worker_cell(i)
+
+
 def run_matrix(
     settings: dict[str, object], out_dir: Path, jobs: int = 1
 ) -> str:
     """Run every (method, scenario) cell on data loaded once; failed cells become
-    `error` and leave their traceback in `<label>_<scenario>/error.txt`."""
+    `error` and leave their traceback in `<label>_<scenario>/error.txt`.
+
+    Cells run in up to `jobs` forked worker processes with one BLAS thread each,
+    so a cell's bytes depend neither on `jobs` nor on the caller's BLAS threads.
+    A worker that dies raises `RuntimeError` naming the cells it was running."""
     methods = _method_tokens(str(settings["methods"]))
     scenarios = [s.strip() for s in str(settings["scenarios"]).split(",") if s.strip()]
+    for key, items in (("methods", methods), ("scenarios", scenarios)):
+        if not items:
+            raise ConfigError(f"matrix needs at least one entry in {key}, got {settings[key]!r}")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     cells: dict[tuple[int, str], RunConfig] = {}
     for mi, (method, aug) in enumerate(methods):
         for scen in scenarios:
             cells[(mi, scen)] = settings_to_runconfig(
                 settings, method=method, scenario=scen, aug=aug
             )
+    labels = [method if aug is None else f"{method}+{aug}" for method, aug in methods]
+    order = sorted(cells)
+    sample = cells[order[0]]
+    raw = _load_dataset(sample)  # every cell shares the data source; workers inherit it
+    # imported here: every other command would pay about 40 ms and 1.5 MiB at start-up
+    import multiprocessing
 
-    results: dict[tuple[int, str], str] = {}
-    sample = next(iter(cells.values()))
-    raw = _load_dataset(sample)  # every cell shares the data source
+    ctx = multiprocessing.get_context("fork")
+    started = ctx.RawArray("b", len(order))  # set by the worker that takes the cell
 
-    def one(key: tuple[int, str]) -> tuple[tuple[int, str], str]:
-        mi, scen = key
-        config = cells[key]
-        label = config.method if config.aug is None else f"{config.method}+{config.aug}"
+    def one(i: int) -> str:
+        started[i] = 1
+        mi, scen = order[i]
+        cell_dir = out_dir / f"{labels[mi]}_{scen}"
         try:
-            report, files = run(config, raw)
-            write_artifacts(out_dir / f"{label}_{scen}", files)
-            return key, repr(report.overall)
+            report, files = run(cells[order[i]], raw)
+            write_artifacts(cell_dir, files)
+            return repr(report.overall)
         except Exception as exc:  # cell failures must not kill the matrix
-            print(f"[matrix] {label}/{scen} failed: {exc}", file=sys.stderr)
-            write_artifacts(out_dir / f"{label}_{scen}", {"error.txt": traceback.format_exc()})
-            return key, "error"
+            print(f"[matrix] {labels[mi]}/{scen} failed: {exc}", file=sys.stderr)
+            write_artifacts(cell_dir, {"error.txt": traceback.format_exc()})
+            return "error"
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            for key, value in pool.map(one, sorted(cells)):
-                results[key] = value
-    else:
-        for key in sorted(cells):
-            results[key] = one(key)[1]
+    with concurrent.futures.ProcessPoolExecutor(
+        min(jobs, len(order)), mp_context=ctx, initializer=_init_worker, initargs=(one,)
+    ) as pool:
+        futures = [pool.submit(_run_cell, i) for i in range(len(order))]
+        try:
+            results = dict(zip(order, (f.result() for f in futures)))
+        except concurrent.futures.BrokenExecutor:  # a worker died
+            lost = [f"{labels[mi]}/{scen}" for (mi, scen), f, flag in zip(order, futures, started)
+                    if flag and f.exception()]
+            raise RuntimeError(
+                f"a matrix worker process died while running {', '.join(lost)}"
+            ) from None
 
     dataset, _ = _preprocess(sample, raw)
     lines = ["method," + ",".join(s.upper() for s in scenarios)]
-    for mi, (method, aug) in enumerate(methods):
-        label = method if aug is None else f"{method}+{aug}"
-        row = [label] + [results[(mi, scen)] for scen in scenarios]
-        lines.append(",".join(row))
+    for mi, label in enumerate(labels):
+        lines.append(",".join([label] + [results[(mi, scen)] for scen in scenarios]))
     header = f"# bands={len(dataset.band_ids)} steps={dataset.n_steps}\n"
     return header + "\n".join(lines) + "\n"
 

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -285,11 +286,14 @@ def classify(state: ModelState, batch) -> Tensor:
     return _linear(encode(state, batch), state, "clf")
 
 
-def constant_view(state: ModelState) -> ModelState:
-    """The same model on constant tensors sharing the params' arrays (nothing is copied).
+def constant_view(state: ModelState, keep: Collection[str] = ()) -> ModelState:
+    """The same model on constant tensors sharing the params' arrays (nothing is copied),
+    except the params named in `keep`, which stay the state's own tensors.
 
-    Forward passes on the view record no tape, so inference keeps no graph alive."""
-    return replace(state, params={k: Tensor(p.data) for k, p in state.params.items()})
+    Forward passes on the view record tape only through `keep`: inference keeps no
+    graph alive, and training a head alone tapes no encoder."""
+    return replace(state, params={k: p if k in keep else Tensor(p.data)
+                                  for k, p in state.params.items()})
 
 
 def predict_classes(state: ModelState, batch) -> np.ndarray:

@@ -75,12 +75,14 @@ def _supervised_epochs(
     trace: TrainTrace,
 ) -> None:
     n = len(X)
+    # params outside `params` are never updated, so a view made once stays current
+    view = M.constant_view(state, keep=params)
     for epoch in range(epochs):
         t0 = time.perf_counter()
         order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(n)
         total = 0.0
         for idx in _batches(n, cfg.batch_size, order):
-            loss = T.cross_entropy(M.classify(state, X[idx]), y0[idx])
+            loss = T.cross_entropy(M.classify(view, X[idx]), y0[idx])
             grads = T.gradients(loss, params)
             T.sgd_step(params, state.momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
             total += loss.item() * len(idx)

@@ -149,6 +149,40 @@ class TestAug2:
         assert abs(noise_like / n - 0.5) < 0.1
 
 
+    def test_drift_equals_the_per_band_interp_loop(self):
+        def loop_aug2(x, rng, policy):  # one rng.uniform and np.interp per band
+            x = np.asarray(x, dtype=np.float64)
+            n_bands, n_steps = x.shape
+            if rng.random() < 0.5:
+                out = x.copy()
+                tgrid = np.arange(n_steps, dtype=np.float64)
+                anchors_t = np.linspace(0.0, n_steps - 1.0, policy.drift_points + 2)
+                for b in range(n_bands):
+                    anchor_vals = np.concatenate(
+                        ([0.0], rng.uniform(-1.0, 1.0, policy.drift_points), [0.0]))
+                    curve = np.interp(tgrid, anchors_t, anchor_vals)
+                    peak = np.abs(curve).max()
+                    band_range = x[b].max() - x[b].min()
+                    if peak > 0.0 and band_range > 0.0:
+                        out[b] += curve * (policy.drift_max * band_range / peak)
+                return out
+            return x + rng.normal(0.0, policy.noise_scale * policy.dn_scale, x.shape)
+
+        data = np.random.default_rng(7)
+        drifted = 0
+        for drift_points, n_steps in ((1, 14), (2, 14), (3, 14), (3, 5), (2, 3), (1, 2)):
+            policy = AugmentationPolicy("aug2", drift_points=drift_points)
+            for seed in range(100):
+                x = data.uniform(0, 8000, (5, n_steps))
+                x[2] = 1500.0  # a constant band: no drift
+                new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                new, old = aug2(x, new_rng, policy), loop_aug2(x, old_rng, policy)
+                assert new.tobytes() == old.tobytes(), (drift_points, n_steps, seed)
+                assert new_rng.random() == old_rng.random()  # the stream is consumed alike
+                drifted += np.array_equal(new[:, 0], x[:, 0])  # drift keeps step 0
+        assert drifted >= 250  # of 600 draws
+
+
 class TestAug3:
     def test_zero_cloud_reduces_to_aug1(self):
         pool = pool_of(3, seed=2)

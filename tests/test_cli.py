@@ -1,4 +1,10 @@
+import contextlib
+import ctypes
 import json
+import os
+import signal
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +35,34 @@ def tiny_settings(**overrides):
     )
     s.update(overrides)
     return s
+
+
+def openblas_thread_functions():
+    """(get, set) of this process's OpenBLAS thread count, or (None, None)."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                return (getattr(lib, f"{prefix}_get_num_threads{suffix}"),
+                        getattr(lib, f"{prefix}_set_num_threads{suffix}"))
+    return None, None
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging when the block outlives `seconds`."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def tiny_runconfig(**overrides):
@@ -157,6 +191,68 @@ class TestMatrix:
             ra = (tmp_path / "a" / cell_dir / "report.json").read_text()
             rb = (tmp_path / "b" / cell_dir / "report.json").read_text()
             assert ra == rb
+
+    def test_cells_are_byte_identical_for_any_jobs(self, tmp_path):
+        settings = tiny_settings(methods="rf,tf", scenarios="e1,e2")
+        with deadline(120):
+            summaries = [run_matrix(settings, tmp_path / f"j{jobs}", jobs=jobs)
+                         for jobs in (1, 2, 3)]
+        assert summaries[0] == summaries[1] == summaries[2]
+        files = sorted(p.relative_to(tmp_path / "j1") for p in (tmp_path / "j1").rglob("*")
+                       if p.is_file())
+        assert {str(f) for f in files} >= {"rf_e1/report.json", "tf_e2/model.json"}
+        for jobs in (2, 3):
+            for f in files:
+                assert (tmp_path / f"j{jobs}" / f).read_bytes() == (tmp_path / "j1" / f).read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_dead_worker_raises_naming_its_cell(self, tmp_path, monkeypatch, jobs):
+        real_run = cli.run
+
+        def dying_run(config, raw=None):
+            if config.scenario == "e2":
+                os._exit(3)
+            return real_run(config, raw)
+
+        monkeypatch.setattr(cli, "run", dying_run)  # forked workers inherit the patch
+        settings = tiny_settings(methods="rf", scenarios="e1,e2,e3")
+        started = time.perf_counter()
+        with deadline(30), pytest.raises(RuntimeError, match="worker process died") as err:
+            run_matrix(settings, tmp_path, jobs=jobs)
+        assert time.perf_counter() - started < 10.0
+        assert "rf/e2" in str(err.value)
+        if jobs == 1:  # the only cell that was running
+            assert str(err.value).endswith("running rf/e2")
+
+    def test_workers_run_blas_on_one_thread(self, tmp_path, monkeypatch):
+        get, set_ = openblas_thread_functions()
+        if get is None:
+            pytest.skip("no OpenBLAS loaded")
+
+        def reporting_run(config, raw=None):
+            return SimpleNamespace(overall=get()), {}
+
+        monkeypatch.setattr(cli, "run", reporting_run)
+        before = get()
+        set_(2)
+        try:
+            summary = run_matrix(tiny_settings(methods="rf", scenarios="e1,e2"), tmp_path, jobs=2)
+            assert get() == 2  # the caller's threading is left alone
+        finally:
+            set_(before)
+        assert summary.splitlines()[2] == "rf,1,1"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", ""], "methods"),
+        (["--scenarios", " , "], "scenarios"),
+        (["--jobs", "0"], "--jobs"),
+    ])
+    def test_bad_matrix_input_fails_early(self, tmp_path, capsys, flags, message):
+        rc = main(["matrix", "--out", str(tmp_path / "out"), "--synth-n", "2"] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("sslcrop: error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCommands:

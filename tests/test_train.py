@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sslcrop import model as M
+from sslcrop import seeding
 from sslcrop import tensor as T
 from sslcrop.augment import AugmentationPolicy
 from sslcrop.dataio import CANONICAL_BANDS, CropClass, Dataset, Sample
@@ -168,6 +169,53 @@ class TestFinetune:
             tuned, _ = finetune(backbone, d, cfg)
             losses.append(T.cross_entropy(M.classify(tuned, X), y0).item())
         assert losses[0] == losses[1]
+
+
+    def test_linear_probe_matches_the_taped_encoder_path(self):
+        d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=13)
+        backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=9)
+        cfg = TrainConfig(lr=0.05, batch_size=4, epochs_finetune=4, seed=10,
+                          finetune_mode="linear_probe")
+        tuned, trace = finetune(backbone, d, cfg)
+
+        # the reference: classify on the state itself, taping the whole encoder
+        ref = M.clone_state(backbone)
+        M.attach_classifier(ref, n_classes=6, seed=cfg.seed)
+        params = M.classifier_params(ref)
+        X, y0 = d.time_major() / cfg.dn_scale, d.labels_array() - 1
+        losses = []
+        for epoch in range(cfg.epochs_finetune):
+            order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(len(X))
+            total = 0.0
+            for start in range(0, len(X), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss = T.cross_entropy(M.classify(ref, X[idx]), y0[idx])
+                grads = T.gradients(loss, params)
+                T.sgd_step(params, ref.momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
+                total += loss.item() * len(idx)
+            losses.append(total / len(X))
+        assert trace.losses == losses
+        assert M.checkpoint_text(tuned) == M.checkpoint_text(ref)
+
+    @pytest.mark.parametrize("mode", ["linear_probe", "full"])
+    def test_backward_reaches_only_the_trained_params(self, mode, monkeypatch):
+        reached = []
+
+        def recording_pass(root, inner=T._backward_pass):
+            leaves = inner(root)
+            reached.append({id(leaf) for leaf in leaves if leaf.requires_grad})
+            return leaves
+
+        monkeypatch.setattr(T, "_backward_pass", recording_pass)
+        d = make_dataset(n_per_class=2, years=(2016,), n_bands=4, n_steps=6, seed=14)
+        backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=11)
+        tuned, _ = finetune(backbone, d, TrainConfig(batch_size=4, epochs_finetune=2, seed=12,
+                                                      finetune_mode=mode))
+        trained = M.classifier_params(tuned)
+        if mode == "full":
+            trained = {**M.encoder_params(tuned), **trained}
+        assert len(reached) == 6  # 12 samples in batches of 4, two epochs
+        assert all(ids == {id(p) for p in trained.values()} for ids in reached)
 
 
 class TestTrace:
