@@ -16,6 +16,7 @@ import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import blas
 from . import evaluation as E
 from . import model as M
 from .augment import AugmentationPolicy
@@ -34,7 +35,7 @@ from .dataio import (
 from .forest import ForestConfig, rf_fit, rf_predict
 from .model import EncoderConfig
 from .synthgen import SynthConfig, generate
-from .train import TrainConfig, finetune, pretrain, train_supervised
+from .train import TrainConfig, branch_threads, finetune, pretrain, train_supervised
 
 METHODS = ("rf", "tf", "ssl")
 
@@ -328,10 +329,14 @@ def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set:
     return pretrain(pool, policy, config.train, _encoder_config(config, dataset), _simsiam_config(config))
 
 
+@blas.one_thread()
 def run(
     config: RunConfig, raw: Dataset | None = None
 ) -> tuple[E.ExperimentReport, dict[str, str]]:
-    """Execute one scenario on `raw` (loaded if None); returns (report, artifact texts)."""
+    """Execute one scenario on `raw` (loaded if None); returns (report, artifact texts).
+
+    Runs with OpenBLAS on one thread, like a matrix cell, so its bytes do not depend
+    on the machine's core count and equal those of the same matrix cell."""
     dataset, removed, spec, train_set, test_set, moved_ids = _prepare(config, raw)
     truth = test_set.labels_array()
     files: dict[str, str] = {}
@@ -416,32 +421,13 @@ def _method_tokens(text: str) -> list[tuple[str, str | None]]:
     return out
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Limit every loaded OpenBLAS to one thread through its own setter; without
-    OpenBLAS (or without /proc) this does nothing."""
-    import ctypes  # here and not at the top, like multiprocessing: only matrix workers need it
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                    "openblas_set_num_threads"):
-            if hasattr(lib, sym):
-                getattr(lib, sym)(1)
-                break
-
-
 _worker_cell = None  # the matrix's cell function, set in each worker process
 
 
 def _init_worker(one) -> None:
     global _worker_cell
     _worker_cell = one
-    _pin_blas_to_one_thread()
+    blas.set_threads(1)
 
 
 def _run_cell(i: int) -> str:
@@ -456,6 +442,7 @@ def run_matrix(
 
     Cells run in up to `jobs` forked worker processes with one BLAS thread each,
     so a cell's bytes depend neither on `jobs` nor on the caller's BLAS threads.
+    Pre-training in a cell runs its two views on `branch_threads(workers)` threads.
     A worker that dies raises `RuntimeError` naming the cells it was running."""
     methods = _method_tokens(str(settings["methods"]))
     scenarios = [s.strip() for s in str(settings["scenarios"]).split(",") if s.strip()]
@@ -472,6 +459,9 @@ def run_matrix(
             )
     labels = [method if aug is None else f"{method}+{aug}" for method, aug in methods]
     order = sorted(cells)
+    workers = min(jobs, len(order))
+    threads = branch_threads(workers)
+    cells = {key: replace(c, train=replace(c.train, branch_threads=threads)) for key, c in cells.items()}
     sample = cells[order[0]]
     raw = _load_dataset(sample)  # every cell shares the data source; workers inherit it
     # imported here: every other command would pay about 40 ms and 1.5 MiB at start-up
@@ -494,7 +484,7 @@ def run_matrix(
             return "error"
 
     with concurrent.futures.ProcessPoolExecutor(
-        min(jobs, len(order)), mp_context=ctx, initializer=_init_worker, initargs=(one,)
+        workers, mp_context=ctx, initializer=_init_worker, initargs=(one,)
     ) as pool:
         futures = [pool.submit(_run_cell, i) for i in range(len(order))]
         try:
@@ -605,7 +595,8 @@ def _normalize_finetune_mode(settings: dict[str, object]) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        with blas.one_thread():  # every command's bytes are those of one BLAS thread
+            return _dispatch(args)
     except Exception as exc:
         print(f"sslcrop: error: {exc}", file=sys.stderr)
         return 1

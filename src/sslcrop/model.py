@@ -6,6 +6,12 @@ On top of it sit a projector and predictor MLP for the two-branch
 pre-training loss (negative cosine with a stopped gradient on the target
 branch), an optional linear classification head, and the collapse monitor
 that tracks the per-channel spread of the l2-normalized projections.
+
+The two views meet only at the heads, so the siamese forwards encode both
+views first (through a replaceable `encoder`; pre-training runs the two on
+their own `leaf_view`s in parallel threads) and then run the heads and the
+loss in a fixed order, which keeps the batch-norm running statistics
+updating with view 1, then view 2.
 """
 
 from __future__ import annotations
@@ -233,12 +239,21 @@ def _neg_cosine(a: Tensor, b: Tensor) -> Tensor:
     return T.scale(T.mean_all(T.sum_last(T.mul(T.l2_normalize(a), T.l2_normalize(b)))), -1.0)
 
 
+def encode_views(state: ModelState, x1_batch, x2_batch) -> tuple[Tensor, Tensor]:
+    """Both views' embeddings, encoded one after the other on `state`."""
+    return encode(state, x1_batch), encode(state, x2_batch)
+
+
 def simsiam_forward(
-    state: ModelState, x1_batch, x2_batch, training: bool = True
+    state: ModelState, x1_batch, x2_batch, training: bool = True, encoder=encode_views
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Two-branch loss; also returns both projection batches for monitoring."""
-    z1 = project(state, encode(state, x1_batch), training)
-    z2 = project(state, encode(state, x2_batch), training)
+    """Two-branch loss; also returns both projection batches for monitoring.
+
+    `encoder(state, x1_batch, x2_batch)` gives both views' embeddings; the heads
+    and the loss then run on them in order."""
+    e1, e2 = encoder(state, x1_batch, x2_batch)
+    z1 = project(state, e1, training)
+    z2 = project(state, e2, training)
     p1 = predict_head(state, z1, training)
     p2 = predict_head(state, z2, training)
     loss = T.add(
@@ -254,15 +269,17 @@ def simsiam_loss(state: ModelState, x1_batch, x2_batch, training: bool = True) -
 
 
 def direct_cosine_forward(
-    state: ModelState, x1_batch, x2_batch, training: bool = True
+    state: ModelState, x1_batch, x2_batch, training: bool = True, encoder=encode_views
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Ablation objective: plain negative cosine between projections.
 
     No predictor, no stop-gradient.  This is the textbook collapse mode of
-    two-branch training and exists to exercise the collapse monitor.
+    two-branch training and exists to exercise the collapse monitor.  `encoder`
+    is as in `simsiam_forward`.
     """
-    z1 = project(state, encode(state, x1_batch), training)
-    z2 = project(state, encode(state, x2_batch), training)
+    e1, e2 = encoder(state, x1_batch, x2_batch)
+    z1 = project(state, e1, training)
+    z2 = project(state, e2, training)
     return _neg_cosine(z1, z2), z1.data, z2.data
 
 
@@ -293,6 +310,14 @@ def constant_view(state: ModelState, keep: Collection[str] = ()) -> ModelState:
     Forward passes on the view record tape only through `keep`: inference keeps no
     graph alive, and training a head alone tapes no encoder."""
     return replace(state, params={k: p if k in keep else Tensor(p.data)
+                                  for k, p in state.params.items()})
+
+
+def leaf_view(state: ModelState, names: Collection[str]) -> ModelState:
+    """The same model with fresh leaf tensors, sharing the params' arrays, for the
+    params in `names` (like `constant_view`, but taping): a backward pass through a
+    forward on the view leaves those grads on the view's tensors, not the state's."""
+    return replace(state, params={k: Tensor(p.data, requires_grad=True) if k in names else p
                                   for k, p in state.params.items()})
 
 

@@ -4,7 +4,10 @@ Every operation on a tensor that needs a gradient records its parents and
 local backward rule on the result, so the computation graph doubles as the
 gradient tape; operations on tensors that need none record nothing, which
 is how inference runs without a tape.  Gradients are obtained by
-topologically replaying the graph from a scalar root.  A tape is single
+topologically replaying the graph from a scalar root, or from a root of any
+shape seeded with a gradient of that shape (`gradients(..., grad=)`, a
+vector-Jacobian product: the siamese pre-training step back-propagates each
+view's encoder from its embedding's gradient this way).  A tape is single
 use: the pass releases each interior node's gradient, backward rule and
 parents as soon as it has propagated them, so the graph is freed while the
 pass runs, only leaves keep a gradient, and replaying a consumed tape
@@ -371,15 +374,21 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _backward_pass(root: Tensor) -> list[Tensor]:
-    """Propagate from root, consuming the tape; returns the leaves it reached."""
-    if root.size != 1:
-        raise GradientContractError(f"backward root must be scalar, got shape {root.shape}")
+def _backward_pass(root: Tensor, seed: np.ndarray | None = None) -> list[Tensor]:
+    """Propagate from root, seeded with `seed` (ones for a scalar root when None),
+    consuming the tape; returns the leaves it reached."""
+    if seed is None:
+        if root.size != 1:
+            raise GradientContractError(f"backward root must be scalar, got shape {root.shape}; "
+                                        "seed a non-scalar root with a gradient")
+        seed = np.ones_like(root.data)
+    elif seed.shape != root.shape:
+        raise GradientContractError(f"gradient seed of shape {seed.shape} for a root of shape {root.shape}")
     order = _toposort(root)
     leaves = [node for node in order if node._backward is None]
     for leaf in leaves:
         leaf.grad = None
-    root.grad = np.ones_like(root.data)
+    root.grad = seed
     while order:  # popping drops the list's reference, so a finished node is freed
         node = order.pop()
         rule, grad, parents = node._backward, node.grad, node._parents
@@ -400,14 +409,18 @@ def backward(root: Tensor) -> None:
     _backward_pass(root)
 
 
-def gradients(root: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+def gradients(
+    root: Tensor, params: Mapping[str, Tensor], grad: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     """Return d(root)/d(p) for every named parameter (zeros when unreachable).
 
-    Consumes the tape like `backward`, and leaves no gradient on any leaf.
+    With `grad`, the root may have any shape and `grad`, of that shape, seeds it:
+    the result is the vector-Jacobian product d(sum(root * grad))/d(p).  Consumes
+    the tape like `backward`, and leaves no gradient on any leaf.
     """
     for p in params.values():
         p.grad = None
-    leaves = _backward_pass(root)
+    leaves = _backward_pass(root) if grad is None else _backward_pass(root, np.asarray(grad, dtype=np.float64))
     out = {name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape)) for name, p in params.items()}
     for leaf in leaves:
         leaf.grad = None

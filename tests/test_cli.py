@@ -1,8 +1,10 @@
 import contextlib
 import ctypes
 import json
+import multiprocessing
 import os
 import signal
+import threading
 import time
 from types import SimpleNamespace
 
@@ -10,8 +12,11 @@ import numpy as np
 import pytest
 
 from sslcrop import cli
+from sslcrop import model as M
+from sslcrop.augment import AugmentationPolicy
 from sslcrop.cli import main, parse_config_file, run, run_matrix
 from sslcrop.dataio import load_csv
+from sslcrop.train import TrainConfig, pretrain
 
 
 def tiny_settings(**overrides):
@@ -253,6 +258,82 @@ class TestMatrix:
         err = capsys.readouterr().err.strip()
         assert err.startswith("sslcrop: error: ") and message in err
         assert not (tmp_path / "out").exists()
+
+
+class TestThreads:
+    """Pre-training's branch threads and its one-thread BLAS, seen from the caller."""
+
+    def test_pretrain_leaves_no_thread_and_restores_blas(self, monkeypatch):
+        get, set_ = openblas_thread_functions()
+        blas_inside = []
+
+        def recording_encode(state, batch, inner=M.encode):
+            if get is not None:
+                blas_inside.append(get())
+            return inner(state, batch)
+
+        monkeypatch.setattr(M, "encode", recording_encode)
+        config = tiny_runconfig(method="ssl", aug="aug1")
+        dataset = cli._prepare(config)[3]
+        cfg = TrainConfig(lr=0.01, batch_size=16, epochs_pretrain=2, branch_threads=2)
+        threads = threading.active_count()
+        before = get() if get is not None else None
+        if get is not None:
+            set_(2)
+        try:
+            pretrain(dataset, AugmentationPolicy("aug1"), cfg, cli._encoder_config(config, dataset))
+            assert threading.active_count() == threads
+            if get is not None:
+                assert get() == 2  # the caller's count is back
+                assert set(blas_inside) == {1}
+        finally:
+            if get is not None:
+                set_(before)
+
+    def test_matrix_after_in_process_pretrain_finishes(self, tmp_path, monkeypatch):
+        # a branch pool that outlived pretrain would be inherited, without its
+        # thread, by the forked matrix workers, which would then wait forever
+        config = tiny_runconfig(method="ssl", aug="aug1")
+        dataset = cli._prepare(config)[3]
+        pretrain(dataset, AugmentationPolicy("aug1"),
+                 TrainConfig(lr=0.01, batch_size=16, epochs_pretrain=1, branch_threads=2),
+                 cli._encoder_config(config, dataset))
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # two branch threads per worker
+
+        def expired(signum, frame):  # kill the workers too, or the pool's shutdown would wait on them
+            for child in multiprocessing.active_children():
+                child.kill()
+            raise TimeoutError("matrix still running after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(60)
+        try:
+            summary = run_matrix(tiny_settings(methods="ssl:aug1", scenarios="e1,e2"), tmp_path, jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "error" not in summary
+
+    def test_matrix_workers_get_the_cores_per_worker(self, tmp_path, monkeypatch):
+        def reporting_run(config, raw=None):
+            return SimpleNamespace(overall=config.train.branch_threads), {}
+
+        monkeypatch.setattr(cli, "run", reporting_run)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        settings = tiny_settings(methods="rf", scenarios="e1,e2")
+        assert run_matrix(settings, tmp_path, jobs=1).splitlines()[2] == "rf,2,2"
+        assert run_matrix(settings, tmp_path, jobs=2).splitlines()[2] == "rf,1,1"
+
+    def test_run_writes_the_bytes_of_its_matrix_cell(self, tmp_path):
+        # desk encoder and batch: big enough gemms that OpenBLAS's default threading
+        # would change the bits if run used it
+        settings = tiny_settings(synth_n=50, d_model=32, n_heads=4, n_layers=2, ff_dim=128,
+                                 batch_size=64, lr=0.005, epochs_supervised=5,
+                                 methods="tf", scenarios="e1")
+        _, files = run(cli.settings_to_runconfig(settings, method="tf", scenario="e1"))
+        run_matrix(settings, tmp_path, jobs=1)
+        for name in ("report.json", "model.json"):
+            assert (tmp_path / "tf_e1" / name).read_text() == files[name], name
 
 
 class TestCommands:

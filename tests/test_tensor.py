@@ -298,3 +298,32 @@ class TestSingleUseTape:
         out = T.batch_norm_eval(p["x"], p["gain"], p["bias"], np.zeros(3), np.ones(3))
         with pytest.raises(GradientContractError, match="batch_norm_eval"):
             T.gradients(T.sum_all(out), p)
+
+
+class TestSeededGradients:
+    """gradients(root, params, grad=G): the vector-Jacobian product of a non-scalar root."""
+
+    def graph(self, seed=5):
+        rng = np.random.default_rng(seed)
+        p = params_of(w=rng.normal(size=(3, 4)), b=rng.normal(size=4))
+        x = Tensor(rng.normal(size=(2, 5, 3)))
+        return p, lambda: T.max_axis(T.relu(T.linear(x, p["w"], p["b"])), axis=1)
+
+    def test_seed_equals_the_scalar_sum_against_the_seed(self):
+        p, out = self.graph()
+        G = np.random.default_rng(6).normal(size=(2, 4))
+        seeded = T.gradients(out(), p, grad=G)
+        reference = T.gradients(T.sum_all(T.mul(out(), Tensor(G))), p)
+        for name in p:
+            assert np.array_equal(seeded[name], reference[name]), name  # bitwise
+        assert all(param.grad is None for param in p.values())
+
+    def test_wrong_shape_seed_raises(self):
+        p, out = self.graph()
+        with pytest.raises(GradientContractError, match="seed of shape"):
+            T.gradients(out(), p, grad=np.ones((4, 2)))
+
+    def test_non_scalar_root_without_seed_raises(self):
+        p, out = self.graph()
+        with pytest.raises(GradientContractError, match="must be scalar"):
+            T.gradients(out(), p)

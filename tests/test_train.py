@@ -1,15 +1,19 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from sslcrop import blas
 from sslcrop import model as M
 from sslcrop import seeding
 from sslcrop import tensor as T
 from sslcrop.augment import AugmentationPolicy
 from sslcrop.dataio import CANONICAL_BANDS, CropClass, Dataset, Sample
 from sslcrop.model import EncoderConfig, SimSiamConfig
-from sslcrop.train import TrainConfig, TrainTrace, finetune, pretrain, train_supervised
+from sslcrop.train import (TrainConfig, TrainTrace, _make_pairs, branch_threads, finetune,
+                           pretrain, train_supervised)
 from conftest import make_dataset, make_sample
 
 TINY_ENC = EncoderConfig(n_bands=4, n_steps=6, d_model=8, n_heads=2, n_layers=1, ff_dim=32)
@@ -126,6 +130,70 @@ class TestPretrain:
                           collapse_warmup_epochs=10**9)
         _, trace = pretrain(pool, AugmentationPolicy("aug1"), cfg, TINY_ENC)
         assert trace.losses[-1] < -0.99
+
+
+def serial_pretrain(pool, policy, cfg, encoder, simsiam, objective):
+    """The reference: each step one serial forward over both views, one `gradients`
+    over the whole graph and one `sgd_step`, on OpenBLAS's one thread."""
+    state = M.init_model(encoder, simsiam, seed=cfg.seed)
+    if objective == "simsiam":
+        forward, heads = M.simsiam_forward, M.head_params(state)
+    else:
+        forward, heads = M.direct_cosine_forward, M.projector_params(state)
+    params = {**M.encoder_params(state), **heads}
+    aug_rng = seeding.stream(cfg.seed, "augment")
+    n = len(pool)
+    losses, collapse = [], []
+    with blas.one_thread():
+        for epoch in range(cfg.epochs_pretrain):
+            order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(n)
+            total, z_parts = 0.0, []
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                x1, x2 = _make_pairs(pool, idx, policy, aug_rng)
+                loss, z1, _ = forward(state, x1 / cfg.dn_scale, x2 / cfg.dn_scale)
+                grads = T.gradients(loss, params)
+                T.sgd_step(params, state.momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
+                total += loss.item() * len(idx)
+                z_parts.append(z1)
+            losses.append(total / n)
+            collapse.append(M.collapse_metric(np.concatenate(z_parts)))
+    return state, losses, collapse
+
+
+class TestConcurrentBranches:
+    ENC = EncoderConfig(n_bands=4, n_steps=6, d_model=16, n_heads=2, n_layers=2, ff_dim=32)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["aug1", "aug2"])
+    @pytest.mark.parametrize("objective", ["simsiam", "direct_cosine"])
+    def test_bitwise_equal_to_the_serial_loop(self, objective, kind, threads, monkeypatch):
+        d = make_dataset(n_per_class=3, years=(2016, 2017), n_bands=4, n_steps=6, seed=15)
+        cfg = TrainConfig(lr=0.01, batch_size=16, epochs_pretrain=3, seed=13,
+                          collapse_warmup_epochs=10**9, branch_threads=threads)
+        policy = AugmentationPolicy(kind)
+        ref, losses, collapse = serial_pretrain(d, policy, cfg, self.ENC, SimSiamConfig(), objective)
+
+        encoded_in = set()
+
+        def recording_encode(state, batch, inner=M.encode):
+            encoded_in.add(threading.get_ident())
+            return inner(state, batch)
+
+        monkeypatch.setattr(M, "encode", recording_encode)
+        state, trace = pretrain(d, policy, cfg, self.ENC, SimSiamConfig(), objective)
+        assert len(encoded_in) == threads
+        assert trace.losses == losses
+        assert trace.collapse == collapse
+        assert M.checkpoint_text(state) == M.checkpoint_text(ref)  # params, momentum, BN buffers
+
+    def test_threads_follow_the_cores_per_worker(self, monkeypatch):
+        for cores, workers, threads in ((2, 1, 2), (2, 2, 1), (2, 3, 1), (1, 1, 1), (8, 2, 2),
+                                        (None, 1, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert branch_threads(workers) == threads, (cores, workers)
+        with pytest.raises(ValueError, match="branch_threads"):
+            TrainConfig(branch_threads=0)
 
 
 class TestFinetune:
