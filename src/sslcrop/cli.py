@@ -35,7 +35,8 @@ from .dataio import (
 from .forest import ForestConfig, rf_fit, rf_predict
 from .model import EncoderConfig
 from .synthgen import SynthConfig, generate
-from .train import TrainConfig, branch_threads, finetune, pretrain, train_supervised
+from .train import (TrainConfig, branch_threads, finetune, in_parallel, pretrain, thread_pair,
+                    train_supervised)
 
 METHODS = ("rf", "tf", "ssl")
 
@@ -361,8 +362,21 @@ def run(
         method_tag = "TF"
     else:
         backbone, pre_trace = _pretrain(config, dataset, train_set, test_set)
-        tuned, ft_trace = finetune(backbone, train_set, cfg)
-        pred = M.predict_batched(tuned, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
+        x_test = test_set.time_major() / cfg.dn_scale
+
+        def tune():
+            tuned, ft_trace = finetune(backbone, train_set, cfg)
+            return tuned, ft_trace, M.predict_batched(tuned, x_test, cfg.batch_size)
+
+        def contrast():  # reads the backbone only, as fine-tuning does
+            ref = E.embed_reference(backbone, train_set, cfg.dn_scale)
+            return E.contrastive_classify_batch(backbone, x_test, ref)[0]
+
+        if config.contrastive_table:  # beside fine-tuning, under the views' thread rule
+            with thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-eval") as pool:
+                (tuned, ft_trace, pred), cpred = in_parallel(pool, tune, contrast)
+        else:
+            tuned, ft_trace, pred = tune()
         traces["pretrain"] = _trace_dict(pre_trace)
         traces["finetune"] = _trace_dict(ft_trace)
         files["pretrain_trace.csv"] = pre_trace.to_csv()
@@ -370,10 +384,6 @@ def run(
         files["pretrained.json"] = M.checkpoint_text(backbone)
         files["finetuned.json"] = M.checkpoint_text(tuned)
         if config.contrastive_table:
-            ref = E.embed_reference(backbone, train_set, cfg.dn_scale)
-            cpred, _ = E.contrastive_classify_batch(
-                backbone, test_set.time_major() / cfg.dn_scale, ref
-            )
             conf = E.confusion_matrix(truth, cpred)
             extras["contrastive"] = {
                 "overall_accuracy": E.overall_accuracy(cpred, truth),

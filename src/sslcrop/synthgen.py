@@ -128,27 +128,32 @@ def default_profiles(
     return profiles
 
 
-def _double_logistic(t: np.ndarray, p: PhenologyProfile, shift: float, amp_factor: float) -> np.ndarray:
-    rise = 1.0 / (1.0 + np.exp(-p.slope_up * (t - (p.green_up + shift))))
-    fall = 1.0 / (1.0 + np.exp(-p.slope_down * (t - (p.senescence + shift))))
-    return p.baseline + p.amplitude * amp_factor * (rise - fall)
+_PROFILE_FIELDS = ("baseline", "amplitude", "green_up", "senescence", "slope_up", "slope_down")
 
 
 def generate(
     cfg: SynthConfig,
     profiles: Mapping[tuple[CropClass, str], PhenologyProfile] | None = None,
 ) -> Dataset:
-    """Generate a labelled multi-year dataset; bitwise-deterministic per seed."""
+    """Generate a labelled multi-year dataset; bitwise-deterministic per seed.
+
+    Each sample draws its time and amplitude jitter, then its noise and cloud
+    steps; the double-logistic curves of a (year, class) group's samples are
+    then computed in one array expression."""
     if profiles is None:
         profiles = default_profiles(cfg.bands)
     for crop in CropClass:
         for band in cfg.bands:
             if (crop, band) not in profiles:
                 raise ValueError(f"missing profile for ({crop.label}, {band})")
+    # per class, the six profile fields as (bands, 1) columns
+    table = {crop: [np.array([getattr(profiles[(crop, band)], f) for band in cfg.bands])[:, None]
+                    for f in _PROFILE_FIELDS] for crop in CropClass}
 
     rng = seeding.stream(cfg.seed, "synth")
     year_shift = {y: rng.normal(0.0, cfg.year_effect_sd) for y in cfg.years}
     t = np.arange(cfg.n_steps, dtype=np.float64)
+    n, shape = cfg.n_per_class_per_year, (len(cfg.bands), cfg.n_steps)
 
     samples: list[Sample] = []
     for year in cfg.years:
@@ -156,23 +161,21 @@ def generate(
         base_shift = year_shift[year] + (cfg.shift_steps if divergent else 0.0)
         amp_factor = cfg.amplitude_scale if divergent else 1.0
         for crop in CropClass:
-            for i in range(cfg.n_per_class_per_year):
+            shift, amp = np.empty((n, 1, 1)), np.empty((n, 1, 1))
+            noise, cloudy = np.empty((n,) + shape), np.empty((n, 1, cfg.n_steps), dtype=bool)
+            for i in range(n):
                 t_jit = rng.normal(0.0, cfg.time_jitter_sd)
                 a_jit = max(0.1, 1.0 + rng.normal(0.0, cfg.amp_jitter_sd))
-                curve = np.stack(
-                    [
-                        _double_logistic(
-                            t, profiles[(crop, band)], base_shift + t_jit, amp_factor * a_jit
-                        )
-                        for band in cfg.bands
-                    ]
-                )
+                shift[i], amp[i] = base_shift + t_jit, amp_factor * a_jit
                 # Noise and cloud draws are unconditional so that changing
                 # noise_sd or cloud_prob leaves every other draw untouched.
-                noise = rng.normal(0.0, cfg.noise_sd, curve.shape)
-                cloudy = rng.random(cfg.n_steps) < cfg.cloud_prob
-                values = np.maximum(curve + noise, 0.0) + cfg.cloud_dn * cloudy
-                samples.append(
-                    Sample(f"synth-{year}-c{int(crop)}-{i:03d}", year, crop, values)
-                )
+                noise[i] = rng.normal(0.0, cfg.noise_sd, shape)
+                cloudy[i] = rng.random(cfg.n_steps) < cfg.cloud_prob
+            baseline, amplitude, green_up, senescence, slope_up, slope_down = table[crop]
+            rise = 1.0 / (1.0 + np.exp(-slope_up * (t - (green_up + shift))))
+            fall = 1.0 / (1.0 + np.exp(-slope_down * (t - (senescence + shift))))
+            curve = baseline + amplitude * amp * (rise - fall)
+            values = np.maximum(curve + noise, 0.0) + cfg.cloud_dn * cloudy
+            samples += [Sample(f"synth-{year}-c{int(crop)}-{i:03d}", year, crop, v)
+                        for i, v in enumerate(values)]
     return Dataset(tuple(samples), cfg.bands, cfg.n_steps)

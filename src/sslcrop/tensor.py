@@ -15,6 +15,12 @@ raises `GradientContractError`.  `stop_gradient` inserts a node that
 backward passes treat as a constant, which is what the siamese
 pre-training loss needs.
 
+A backward rule never writes into the gradient it receives: that array may
+also be another node's gradient (`add` hands one array to both parents, and a
+parent's first gradient is the array its child returned).  Rules write only
+into arrays they allocated themselves, which is how `_normalize` keeps its
+large temporaries few.
+
 Storage is always a row-major float64 ndarray.  Broadcasting is restricted
 to last-axis bias/gain addition and batched matmul so every backward rule
 stays easy to audit.  The encoder's dense layers and self-attention are
@@ -203,8 +209,9 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    out = np.fmax(a.data, 0.0)  # NaN -> 0
+    out += 0.0  # -0.0 -> +0.0: bitwise where(a > 0, a, 0)
+    return _op(out, (a,), lambda g: (g * (out > 0.0),))  # out > 0 exactly where a > 0
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -226,22 +233,29 @@ def _normalize(a: Tensor, gain: Tensor, bias: Tensor, eps: float, axis: int):
         raise ShapeMismatch(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    # the arithmetic of centered = a - mean, xhat = centered * inv, xhat * gain + bias,
+    # evaluated in place: a large array per result instead of one per operation
     mean = a.data.mean(axis=axis, keepdims=True)
-    centered = a.data - mean
-    var = (centered * centered).mean(axis=axis, keepdims=True)
+    xhat = a.data - mean
+    out = xhat * xhat
+    var = out.mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def backward(g):
-        gx_hat = g * gain.data
-        gx = inv * (
-            gx_hat
-            - gx_hat.mean(axis=axis, keepdims=True)
-            - xhat * (gx_hat * xhat).mean(axis=axis, keepdims=True)
-        )
-        return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+        # inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)), gx_hat = g * gain
+        gx = g * gain.data
+        tmp = gx * xhat
+        m2 = tmp.mean(axis=axis, keepdims=True)
+        gx -= gx.mean(axis=axis, keepdims=True)
+        gx -= np.multiply(xhat, m2, out=tmp)
+        np.multiply(inv, gx, out=gx)  # inv first, as written above: NaN operands keep their order
+        np.multiply(g, xhat, out=tmp)
+        return gx, tmp.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
-    return _op(xhat * gain.data + bias.data, (a, gain, bias), backward), mean, var
+    return _op(out, (a, gain, bias), backward), mean, var
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

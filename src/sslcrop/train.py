@@ -38,6 +38,29 @@ def branch_threads(workers: int = 1) -> int:
     return max(1, min(2, (os.cpu_count() or 1) // workers))
 
 
+@contextlib.contextmanager
+def thread_pair(threads: int, name: str):
+    """A two-thread pool for the block if `threads` > 1, else None; joined on exit.
+
+    A pool lives for one call only: a pool kept across calls would be inherited,
+    without its threads, by every process forked in between (matrix workers)."""
+    if threads < 2:
+        yield None
+        return
+    with concurrent.futures.ThreadPoolExecutor(2, name) as pool:
+        yield pool
+
+
+def in_parallel(pool: concurrent.futures.Executor | None, first, second) -> tuple:
+    """(first(), second()): in `pool`'s two threads while the caller waits, so that
+    whatever the caller has open (a profiler's span, say) encloses both; one after
+    the other in the caller if `pool` is None."""
+    if pool is None:
+        return first(), second()
+    a, b = pool.submit(first), pool.submit(second)
+    return a.result(), b.result()
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.0016612
@@ -150,9 +173,7 @@ def _make_pairs(
 
 
 class _Branches:
-    """The two encoder branches of one pre-training step, run in `pool`'s two threads
-    while the caller waits, so that whatever the caller has open (a profiler's span,
-    say) encloses both; one after the other in the caller if `pool` is None.
+    """The two encoder branches of one pre-training step, run `in_parallel` on `pool`.
 
     Each branch encodes its view on its own leaf tensors for the encoder params,
     sharing their arrays, so no two threads write one `.grad`.  The heads and the
@@ -167,10 +188,7 @@ class _Branches:
         self.pool = pool
 
     def _both(self, fn, args1: tuple, args2: tuple) -> tuple:
-        if self.pool is None:
-            return fn(*args1), fn(*args2)
-        first, second = self.pool.submit(fn, *args1), self.pool.submit(fn, *args2)
-        return first.result(), second.result()
+        return in_parallel(self.pool, lambda: fn(*args1), lambda: fn(*args2))
 
     def encode(self, state: ModelState, x1_batch, x2_batch) -> tuple[Tensor, Tensor]:
         """The `encoder` of the siamese forwards: both views' embeddings, as leaves."""
@@ -226,11 +244,7 @@ def pretrain(
     n = len(pool)
     floor = cfg.collapse_threshold_factor / math.sqrt(simsiam.head_out)
     trace = TrainTrace(collapse=[])
-    threads = cfg.branch_threads or branch_threads()
-    # the pool lives for this call only: a pool kept across calls would be inherited,
-    # without its threads, by every process forked in between (matrix workers)
-    branch_pool = concurrent.futures.ThreadPoolExecutor(2, "sslcrop-view") if threads > 1 else None
-    with blas.one_thread(), branch_pool or contextlib.nullcontext():
+    with blas.one_thread(), thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-view") as branch_pool:
         for epoch in range(cfg.epochs_pretrain):
             t0 = time.perf_counter()
             order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(n)

@@ -6,12 +6,14 @@ import os
 import signal
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sslcrop import cli
+from sslcrop import evaluation as E
 from sslcrop import model as M
 from sslcrop.augment import AugmentationPolicy
 from sslcrop.cli import main, parse_config_file, run, run_matrix
@@ -57,8 +59,13 @@ def openblas_thread_functions():
 
 @contextlib.contextmanager
 def deadline(seconds):
-    """Fail with TimeoutError instead of hanging when the block outlives `seconds`."""
+    """Fail with TimeoutError instead of hanging when the block outlives `seconds`.
+
+    Forked workers still running are killed first: a process pool's shutdown would
+    otherwise wait on a hung worker, and the test would hang instead of failing."""
     def expired(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
         raise TimeoutError(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expired)
@@ -334,6 +341,53 @@ class TestThreads:
         run_matrix(settings, tmp_path, jobs=1)
         for name in ("report.json", "model.json"):
             assert (tmp_path / "tf_e1" / name).read_text() == files[name], name
+
+
+class TestEvaluationBesideFinetuning:
+    """cli.run's ssl path: the contrastive table runs beside fine-tuning on the views'
+    thread rule, in a pool that lives for the call."""
+
+    def ssl_config(self, threads, **overrides):
+        config = tiny_runconfig(method="ssl", aug="aug1", **overrides)
+        return replace(config, train=replace(config.train, branch_threads=threads))
+
+    def test_bytes_do_not_depend_on_threads(self, monkeypatch):
+        ran_in = {}
+        for name, module in (("finetune", cli), ("embed_reference", E)):
+            def recording(*args, _inner=getattr(module, name), _name=name, **kwargs):
+                ran_in.setdefault(_name, set()).add(threading.current_thread().name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+        threads = threading.active_count()
+        _, serial = run(self.ssl_config(1))
+        assert ran_in == {"finetune": {"MainThread"}, "embed_reference": {"MainThread"}}
+        ran_in.clear()
+        _, overlapped = run(self.ssl_config(2))
+        assert threading.active_count() == threads
+        assert all(name.startswith("sslcrop-eval") for names in ran_in.values() for name in names)
+        assert overlapped == serial
+        assert "contrastive" in json.loads(serial["report.json"])["extras"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_contrastive_error_comes_out_of_run(self, monkeypatch, threads):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("contrastive table failed")
+
+        monkeypatch.setattr(E, "contrastive_classify_batch", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="contrastive table failed"):
+            run(self.ssl_config(threads))
+        assert threading.active_count() == before
+
+    def test_matrix_after_in_process_ssl_run_finishes(self, tmp_path, monkeypatch):
+        # an evaluation pool that outlived run would be inherited, without its
+        # threads, by the forked matrix workers, which would then wait forever
+        run(self.ssl_config(2, epochs_pretrain=1, epochs_finetune=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # two threads per worker
+        with deadline(60):
+            summary = run_matrix(tiny_settings(methods="ssl:aug1", scenarios="e1,e2"), tmp_path, jobs=2)
+        assert "error" not in summary
 
 
 class TestCommands:

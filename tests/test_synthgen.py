@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,39 @@ class TestGenerate:
             # without divergence 2018 equals 2016; with it the curves move
             assert np.array_equal(f_2018[crop].reflectance, s_2016[crop].reflectance)
             assert not np.array_equal(s_2018[crop].reflectance, s_2016[crop].reflectance)
+
+
+def dataset_digest(dataset):
+    h = hashlib.sha256()
+    for s in dataset.samples:
+        h.update(s.field_id.encode())
+        h.update(np.ascontiguousarray(s.reflectance, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def per_band_profiles(bands):
+    """The default table with slopes, timing and baseline varied per band and class."""
+    out = {}
+    for (crop, band), p in default_profiles(bands).items():
+        j, c = bands.index(band), int(crop)
+        out[(crop, band)] = replace(p, slope_up=0.6 + 0.15 * j, slope_down=0.9 + 0.05 * c,
+                                    green_up=p.green_up + 0.1 * j, baseline=p.baseline + 10.0 * c)
+    return out
+
+
+class TestGolden:
+    """Every field id and reflectance byte, as the per-sample, per-band loop made them."""
+
+    def test_default_config(self):
+        digest = dataset_digest(generate(SynthConfig(seed=0)))
+        assert digest == "d07c000b00546d9799faab7e3eb55a124641a7697f494f32a7527fea40e6ee05"
+
+    def test_custom_profiles_with_per_band_slopes(self):
+        bands = ("B02", "B04", "B05", "B08", "B11")
+        cfg = SynthConfig(n_per_class_per_year=7, years=(2019, 2020), divergent_year=2020,
+                          bands=bands, seed=3)
+        digest = dataset_digest(generate(cfg, per_band_profiles(bands)))
+        assert digest == "f9a72d85a6c11cb4fccfbcd762be4af919c91b9c8fda00585c20ebee97ccf650"
 
 
 class TestSeparabilityOracle:

@@ -327,3 +327,93 @@ class TestSeededGradients:
         p, out = self.graph()
         with pytest.raises(GradientContractError, match="must be scalar"):
             T.gradients(out(), p)
+
+
+def reference_relu(x, g):
+    """relu and its backward as first written: a mask, np.where and g * mask."""
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), g * mask
+
+
+def reference_normalize(x, gain, bias, eps, axis, g):
+    """_normalize's forward and backward as first written, one new array per operation."""
+    d = x.shape[-1]
+    mean = x.mean(axis=axis, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    gx_hat = g * gain
+    gx = inv * (
+        gx_hat
+        - gx_hat.mean(axis=axis, keepdims=True)
+        - xhat * (gx_hat * xhat).mean(axis=axis, keepdims=True)
+    )
+    return xhat * gain + bias, mean, var, gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+def with_specials(rng, shape, every=3):
+    """Normal draws with -0.0, +0.0, +-inf and NaN planted in every `every`-th row."""
+    x = rng.normal(size=shape)
+    flat = x.reshape(-1, shape[-1])
+    for row in flat[::every]:
+        picks = rng.choice(shape[-1], size=5, replace=False)
+        row[picks] = (-0.0, 0.0, np.inf, -np.inf, np.nan)
+    flat[1::every, :2] = -0.0  # rows whose only specials are signed zeros
+    return x
+
+
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestElementwiseKernels:
+    """relu and layer/batch norm equal their first formulas bit for bit, NaN, +-0 and
+    +-inf included, and never write into their input or an incoming gradient (a
+    gradient may alias another node's: `add` passes one array to both parents)."""
+
+    @pytest.mark.parametrize("shape", [(5, 7, 37), (16, 14, 64), (11,)])
+    def test_relu(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = read_only(with_specials(rng, shape))
+        g = read_only(with_specials(rng, shape, every=2))
+        a = Tensor(x, requires_grad=True)
+        out = T.relu(a)
+        want_out, want_grad = reference_relu(x, g)
+        assert bits_equal(out.data, want_out)
+        assert bits_equal(T.gradients(out, {"a": a}, grad=g)["a"], want_grad)
+
+    def test_relu_maps_negative_zero_to_positive_zero(self):
+        for n in range(1, 40):  # every position of a SIMD loop's blocks and its tail
+            out = T.relu(Tensor(np.full(n, -0.0))).data
+            assert bits_equal(out, np.zeros(n)), n
+
+    @pytest.mark.parametrize("kind, shape", [("layer", (5, 7, 37)), ("layer", (16, 14, 64)),
+                                             ("batch", (53, 21)), ("batch", (256, 64))])
+    def test_normalize(self, kind, shape):
+        rng = np.random.default_rng(shape[0])
+        d = shape[-1]
+        x = read_only(with_specials(rng, shape))
+        g = read_only(with_specials(rng, shape, every=4))
+        gain = read_only(np.concatenate([[-0.0, np.inf], rng.normal(size=d - 2)]))
+        bias = read_only(rng.normal(size=d))
+        p = params_of(gain=gain, bias=bias)
+        a = Tensor(x, requires_grad=True)
+        if kind == "layer":
+            out, axis = T.layer_norm(a, p["gain"], p["bias"], eps=1e-5), -1
+        else:
+            (out, mean, var), axis = T.batch_norm(a, p["gain"], p["bias"], eps=1e-5), 0
+        want = reference_normalize(x, gain, bias, 1e-5, axis, g)
+        assert bits_equal(out.data, want[0])
+        if kind == "batch":
+            assert bits_equal(mean, want[1][0]) and bits_equal(var, want[2][0])
+        grads = T.gradients(out, {"a": a, **p}, grad=g)
+        for name, expected in zip(("a", "gain", "bias"), want[3:]):
+            assert bits_equal(grads[name], expected), name
