@@ -2,6 +2,9 @@
 
 The encoder embeds each time step of a band series, adds sinusoidal
 positions, runs post-norm self-attention blocks and max-pools over time.
+On the tape that is one `embed` node, then per layer `layer_norm(attention)`
+and `layer_norm(feed_forward)`, then `max_axis`; the fused nodes keep only
+what their backward reads, which is what a pre-training step holds.
 On top of it sit a projector and predictor MLP for the two-branch
 pre-training loss (negative cosine with a stopped gradient on the target
 branch), an optional linear classification head, and the collapse monitor
@@ -196,16 +199,14 @@ def encode(state: ModelState, batch) -> Tensor:
         raise ValueError(
             f"batch shape {x.shape} does not match (B, {cfg.n_steps}, {cfg.n_bands})"
         )
+    p = state.params
     # embeddings are scaled by sqrt(d_model) so band information is not
     # drowned out by the unit-magnitude positional encodings
-    x = T.scale(_linear(x, state, "embed"), math.sqrt(cfg.d_model))
-    pos = np.ascontiguousarray(np.broadcast_to(state.pos, x.shape))
-    x = T.add(x, Tensor(pos))
-    p = state.params
+    x = T.embed(x, p["embed.w"], p["embed.b"], math.sqrt(cfg.d_model), state.pos)
     for i in range(cfg.n_layers):
         x = T.layer_norm(_attention(x, state, i), p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
-        ff = _linear(T.relu(_linear(x, state, f"enc{i}.ff1")), state, f"enc{i}.ff2")
-        x = T.layer_norm(T.add(x, ff), p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
+        ff = [p[f"enc{i}.{name}.{part}"] for name in ("ff1", "ff2") for part in "wb"]
+        x = T.layer_norm(T.feed_forward(x, *ff), p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
     return T.max_axis(x, axis=1)
 
 

@@ -22,9 +22,13 @@ into arrays they allocated themselves, which is how `_normalize` keeps its
 large temporaries few.
 
 Storage is always a row-major float64 ndarray.  Broadcasting is restricted
-to last-axis bias/gain addition and batched matmul so every backward rule
-stays easy to audit.  The encoder's dense layers and self-attention are
-single nodes (`linear`, `attention`).
+to last-axis bias/gain addition, batched matmul and the positional table of
+`embed`, so every backward rule stays easy to audit.  The encoder's blocks are
+single nodes (`embed`, `attention`, `feed_forward`, and `linear` for a dense
+layer).  A node's backward rule closes over only the arrays it reads, so an
+intermediate such as the feed-forward pre-activation is not kept alive for the
+backward pass.  Each fused node computes and sums in the order of the separate
+nodes it replaces, so its results are bitwise theirs.
 """
 
 from __future__ import annotations
@@ -156,6 +160,60 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, x2.T @ g2, g2.sum(axis=0)
 
     return _op(out.reshape(x.shape[:-1] + (n,)), (x, w, b), backward)
+
+
+def embed(x: Tensor, w: Tensor, b: Tensor, c: float, pos: np.ndarray) -> Tensor:
+    """(x @ w + b) * c + pos for x (B, t, k), as one node; the constant pos (t, n)
+    broadcasts over the batch.  Its arithmetic is linear -> scale -> add(pos) in
+    place, so the result is bitwise theirs, and the backward keeps only x."""
+    if w.data.ndim != 2 or x.data.ndim != 3 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:] \
+            or pos.shape != x.shape[1:2] + w.shape[1:]:
+        raise ShapeMismatch(f"embed needs x (B, t, k), w (k, n), b (n,), pos (t, n), "
+                            f"got {x.shape}, {w.shape}, {b.shape}, {pos.shape}")
+    k, n = w.shape
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ w.data
+    out += b.data
+    out *= c
+    out = out.reshape(x.shape[:-1] + (n,))
+    out += pos
+
+    def backward(g):
+        g2 = (g * c).reshape(-1, n)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, x2.T @ g2, g2.sum(axis=0)
+
+    return _op(out, (x, w, b), backward)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """x + relu(x @ w1 + b1) @ w2 + b2 over the last axis of x, as one node.  The
+    rectifier runs in place on the first product, so the pre-activation never exists
+    as its own array; the backward keeps x, the hidden layer h and takes the mask
+    from h.  Products and sums are those of linear -> relu -> linear -> add, so
+    results are bitwise theirs (x's gradient is g + gm @ w1.T, the tape's order)."""
+    d = x.shape[-1]
+    if w1.data.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] \
+            or w2.shape != (w1.shape[1], d) or b2.shape != (d,):
+        raise ShapeMismatch(f"feed_forward needs x (..., d), w1 (d, f), b1 (f,), w2 (f, d), b2 (d,), "
+                            f"got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+    x2 = x.data.reshape(-1, d)
+    h = x2 @ w1.data
+    h += b1.data
+    np.fmax(h, 0.0, out=h)  # as in relu: NaN -> 0,
+    h += 0.0  # and -0.0 -> +0.0
+    out = h @ w2.data
+    out += b2.data
+    np.add(x2, out, out=out)  # x first, as add(x, ff): NaN operands keep their order
+
+    def backward(g):
+        g2 = g.reshape(-1, d)
+        gm = g2 @ w2.data.T
+        gm *= h > 0.0  # h > 0 exactly where the pre-activation is > 0
+        gx = g + (gm @ w1.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, x2.T @ gm, gm.sum(axis=0), h.T @ g2, g2.sum(axis=0)
+
+    return _op(out.reshape(x.shape), (x, w1, b1, w2, b2), backward)
 
 
 def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,8 @@ class TestL2Normalize:
 
 
 class TestFusedNodes:
-    """linear and attention against central differences, like the composite check."""
+    """The fused nodes against central differences, like the composite check, and
+    embed and feed_forward bitwise against the graphs they replace."""
 
     def check(self, p, loss):
         grads = T.gradients(loss(), p)
@@ -254,6 +257,75 @@ class TestFusedNodes:
             return T.sum_all(T.mul(T.attention(p["x"], *params, n_heads=2), target))
 
         self.check(p, loss)
+
+    @staticmethod
+    def node_params(node, rng, b=2, t=3, k=4, f=5, values=None):
+        """Inputs of `node` (x first), each drawn by values(shape) (normal draws by default)."""
+        values = values or (lambda shape: rng.normal(size=shape))
+        if node == "embed":
+            shapes = {"x": (b, t, k), "w": (k, f), "b": (f,)}
+        else:
+            shapes = {"x": (b, t, k), "w1": (k, f), "b1": (f,), "w2": (f, k), "b2": (k,)}
+        return params_of(**{name: values(shape) for name, shape in shapes.items()})
+
+    @staticmethod
+    def fused(node, p, pos):
+        if node == "embed":
+            return T.embed(p["x"], p["w"], p["b"], 1.5, pos)
+        return T.feed_forward(p["x"], p["w1"], p["b1"], p["w2"], p["b2"])
+
+    @staticmethod
+    def unfused(node, p, pos):
+        """The graphs the fused nodes replace: linear -> scale -> add(pos), and
+        linear -> relu -> linear -> add."""
+        if node == "embed":
+            y = T.scale(T.linear(p["x"], p["w"], p["b"]), 1.5)
+            return T.add(y, Tensor(np.ascontiguousarray(np.broadcast_to(pos, y.shape))))
+        hidden = T.relu(T.linear(p["x"], p["w1"], p["b1"]))
+        return T.add(p["x"], T.linear(hidden, p["w2"], p["b2"]))
+
+    @pytest.mark.parametrize("node", ["embed", "feed_forward"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_embed_and_feed_forward_match_finite_differences(self, node, seed):
+        rng = np.random.default_rng(seed)
+        p = self.node_params(node, rng)
+        pos = rng.normal(size=(3, 5 if node == "embed" else 4))
+        target = Tensor(rng.normal(size=self.fused(node, p, pos).shape))
+        self.check(p, lambda: T.sum_all(T.mul(self.fused(node, p, pos), target)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("node", ["embed", "feed_forward"])
+    @pytest.mark.parametrize("b, t, k, f", [(5, 7, 13, 37), (16, 14, 64, 256)])
+    def test_embed_and_feed_forward_bitwise_equal_the_unfused_graph(self, node, b, t, k, f):
+        """-0.0, +-inf and NaN in x, the weights and the incoming gradient, all read-only."""
+        rng = np.random.default_rng(b + f)
+        draw = lambda shape: read_only(with_specials(rng, shape) if len(shape) > 1 else rng.normal(size=shape))
+        p = self.node_params(node, rng, b, t, k, f, values=draw)
+        pos = read_only(rng.normal(size=(t, f if node == "embed" else k)))
+        out, want = self.fused(node, p, pos), self.unfused(node, p, pos)
+        assert bits_equal(out.data, want.data)
+        g = with_specials(rng, out.shape, every=2)
+        g[np.isnan(g)] = PAYLOAD_NAN  # unlike a generated NaN, so the order of a sum shows
+        g = read_only(g)
+        grads, want_grads = T.gradients(out, p, grad=g), T.gradients(want, p, grad=g)
+        for name in p:
+            assert bits_equal(grads[name], want_grads[name]), name
+
+    @pytest.mark.parametrize("node, wrong", [("embed", "w"), ("embed", "pos"), ("embed", "x"),
+                                             ("feed_forward", "w1"), ("feed_forward", "w2"),
+                                             ("feed_forward", "b2")])
+    def test_embed_and_feed_forward_name_wrong_shapes(self, node, wrong):
+        p = self.node_params(node, np.random.default_rng(0))
+        pos = np.zeros((3, 5 if node == "embed" else 4))
+        if wrong == "pos":
+            pos = np.zeros((4, 5))
+        elif wrong == "x":
+            p["x"] = Tensor(np.zeros((6, 4)))
+        else:
+            p[wrong] = Tensor(np.zeros(p[wrong].shape[:-1] + (p[wrong].shape[-1] + 1,)))
+        shape = re.escape(str(pos.shape if wrong == "pos" else p[wrong].shape))
+        with pytest.raises(ShapeMismatch, match=f"{node} needs.*{shape}"):
+            self.fused(node, p, pos)
 
 
 class TestSingleUseTape:
@@ -361,6 +433,9 @@ def with_specials(rng, shape, every=3):
         row[picks] = (-0.0, 0.0, np.inf, -np.inf, np.nan)
     flat[1::every, :2] = -0.0  # rows whose only specials are signed zeros
     return x
+
+
+PAYLOAD_NAN = np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64)
 
 
 def read_only(a):
