@@ -1,9 +1,11 @@
 """Experiment orchestration: configs, scenario runs, matrices, exports.
 
 One flat key=value config file (with `#` comments) plus command-line
-overrides drives everything; every stage draws its randomness from the
-master seed through named streams.  Artifacts are only written once a run
-has fully succeeded, so a failing run leaves nothing half-finished behind.
+overrides drives everything.  `SETTINGS` defines each key once: its parser,
+the config fields it sets (and so its default) and its flag.  Every stage
+draws its randomness from the master seed through named streams.  Artifacts
+are only written once a run has fully succeeded, so a failing run leaves
+nothing half-finished behind.
 """
 
 from __future__ import annotations
@@ -15,151 +17,121 @@ import sys
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import blas
 from . import evaluation as E
 from . import model as M
-from .augment import AugmentationPolicy
-from .dataio import (
-    CANONICAL_BANDS,
-    Dataset,
-    Sample,
-    ScenarioSpec,
-    load_csv,
-    make_split,
-    drop_constant_series,
-    select_bands,
-    truncate_steps,
-    write_csv,
-)
+from .augment import KINDS as AUGS, AugmentationPolicy
+from .dataio import (CANONICAL_BANDS, Dataset, Sample, ScenarioSpec, drop_constant_series, load_csv,
+                     make_split, select_bands, truncate_steps, write_csv)
 from .forest import ForestConfig, rf_fit, rf_predict
-from .model import EncoderConfig
+from .model import EncoderConfig, SimSiamConfig
 from .synthgen import SynthConfig, generate
 from .train import (TrainConfig, branch_threads, finetune, in_parallel, pretrain, thread_pair,
                     train_supervised)
 
 METHODS = ("rf", "tf", "ssl")
-
-DEFAULTS: dict[str, object] = {
-    "data": None,
-    "out": None,
-    "seed": 0,
-    "jobs": 1,
-    "scenario": "e1",
-    "target_year": None,
-    "e1_stratify": "class",
-    "method": "tf",
-    "aug": None,
-    "bands": None,
-    "drop_leading": 0,
-    "lr": 0.0016612,
-    "batch_size": 256,
-    "momentum": 0.9,
-    "weight_decay": 0.0005,
-    "epochs_supervised": 300,
-    "epochs_pretrain": 600,
-    "epochs_finetune": 300,
-    "finetune_mode": "full",
-    "dn_scale": 10000.0,
-    "collapse_warmup": 300,
-    "collapse_factor": 0.25,
-    "d_model": 64,
-    "n_heads": 4,
-    "n_layers": 3,
-    "ff_dim": 256,
-    "proj_hidden": 6,
-    "head_out": 14,
-    "pred_hidden": 6,
-    "n_trees": 500,
-    "min_leaf": 1,
-    "max_depth": None,
-    "max_features": None,
-    "aug2_unlabeled_target": True,
-    "spike_both": True,
-    "methods": "rf,tf",
-    "scenarios": "e1,e2,e3,e4",
-    "contrastive_table": True,
-    "synth_n": 50,
-    "synth_years": "2016,2017,2018",
-    "synth_divergent_year": 2018,
-    "synth_shift_steps": 1.0,
-    "synth_amplitude_scale": 0.85,
-    "synth_noise_sd": 150.0,
-    "synth_cloud_prob": 0.02,
-    "synth_cloud_dn": 7000.0,
-    "synth_time_jitter": 0.4,
-    "synth_amp_jitter": 0.08,
-    "synth_year_effect": 0.25,
-}
-
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
+SCENARIOS = ("e1", "e2", "e3", "e4")
 
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat `key = value` lines; blank lines and # comments are skipped."""
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        entries[key] = value
-    return entries
+def _bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"cannot parse boolean {text!r}")
 
 
-def _coerce(key: str, value: str):
-    default = DEFAULTS[key]
-    if value == "" or value.lower() == "none":
-        return None
-    if key in ("target_year", "max_depth", "max_features", "synth_divergent_year"):
-        return int(value)
-    if isinstance(default, bool):
-        low = value.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"{key}: cannot parse boolean {value!r}")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value
-
-
-def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
-    """defaults < config file < explicit command-line flags."""
-    settings = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, value in parse_config_file(config_path).items():
-            settings[key] = _coerce(key, value)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    if settings["out"] is None:
-        settings["out"] = os.environ.get("SSLCROP_OUT", "runs")
-    return settings
-
-
-def _parse_bands(text: str | None) -> tuple[str, ...] | None:
-    if text is None:
-        return None
+def _bands(text: str) -> tuple[str, ...]:
     bands = tuple(b.strip() for b in text.split(",") if b.strip())
     unknown = [b for b in bands if b not in CANONICAL_BANDS]
     if unknown:
-        raise ConfigError(f"unknown bands {unknown}; choose from {CANONICAL_BANDS}")
+        raise ValueError(f"unknown bands {unknown}; choose from {CANONICAL_BANDS}")
     return bands
+
+
+def _one_of(*options: str, **aliases: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        value = aliases.get(text, text)
+        if value not in options:
+            raise ValueError(f"{text!r} is not one of {', '.join(options + tuple(aliases))}")
+        return value
+    return parse
+
+
+class Setting(NamedTuple):
+    """One settings key: `key = value` in a config file, `--key` as a flag."""
+
+    key: str
+    parse: Callable[[str], object] | None  # text -> value; None: one of `choices`
+    fields: str = ""                       # space-separated `section.field`s it sets
+    flag: bool = True                      # a flag on every subcommand
+    optional: bool = False                 # may be `none` (or empty)
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    default: object = None                 # unless its first field has a default
+
+
+# One row per key.  The rows with a flag on every subcommand are in `--help` order.
+SETTINGS: tuple[Setting, ...] = (
+    Setting("seed", int, "run.seed train.seed forest.seed synth.seed"),
+    Setting("out", str, optional=True, help="output directory (default $SSLCROP_OUT or runs/)"),
+    Setting("data", str, "run.data", optional=True,
+            help="input CSV (omit to use the synthetic generator)"),
+    Setting("bands", _bands, "run.bands", optional=True, help="comma-separated bands to keep"),
+    Setting("drop_leading", int, "run.drop_leading"),
+    Setting("scenario", None, "run.scenario", choices=SCENARIOS, default="e1"),
+    Setting("target_year", int, "run.target_year", optional=True),
+    Setting("jobs", int, default=1),
+    Setting("method", None, "run.method", flag=False, choices=METHODS, default="tf"),
+    Setting("aug", None, "run.aug", flag=False, optional=True, choices=AUGS),
+    Setting("aug2_unlabeled_target", _bool, "run.aug2_unlabeled_target", flag=False),
+    Setting("spike_both", _bool, "run.spike_both", flag=False),
+    Setting("contrastive_table", _bool, "run.contrastive_table", flag=False),
+    Setting("methods", str, flag=False, help="e.g. rf,tf,ssl:aug1,ssl:aug3", default="rf,tf"),
+    Setting("scenarios", str, flag=False, help="e.g. e1,e2,e3,e4", default="e1,e2,e3,e4"),
+    Setting("lr", float, "train.lr"),
+    Setting("momentum", float, "train.momentum"),
+    Setting("weight_decay", float, "train.weight_decay"),
+    Setting("dn_scale", float, "train.dn_scale"),
+    Setting("synth_shift_steps", float, "synth.shift_steps"),
+    Setting("synth_amplitude_scale", float, "synth.amplitude_scale"),
+    Setting("synth_noise_sd", float, "synth.noise_sd"),
+    Setting("synth_cloud_prob", float, "synth.cloud_prob"),
+    Setting("synth_cloud_dn", float, "synth.cloud_dn", flag=False),
+    Setting("synth_time_jitter", float, "synth.time_jitter_sd"),
+    Setting("synth_amp_jitter", float, "synth.amp_jitter_sd"),
+    Setting("synth_year_effect", float, "synth.year_effect_sd"),
+    Setting("collapse_factor", float, "train.collapse_threshold_factor"),
+    Setting("batch_size", int, "train.batch_size"),
+    Setting("epochs_supervised", int, "train.epochs_supervised"),
+    Setting("epochs_pretrain", int, "train.epochs_pretrain"),
+    Setting("epochs_finetune", int, "train.epochs_finetune"),
+    Setting("finetune_mode", _one_of("full", "linear_probe", linear="linear_probe"),
+            "train.finetune_mode", flag=False, choices=("linear", "full")),
+    Setting("d_model", int, "encoder.d_model"),
+    Setting("n_heads", int, "encoder.n_heads"),
+    Setting("n_layers", int, "encoder.n_layers"),
+    Setting("ff_dim", int, "encoder.ff_dim"),
+    Setting("proj_hidden", int, "simsiam.proj_hidden"),
+    Setting("head_out", int, "simsiam.head_out"),
+    Setting("pred_hidden", int, "simsiam.pred_hidden"),
+    Setting("n_trees", int, "forest.n_trees"),
+    Setting("min_leaf", int, "forest.min_leaf"),
+    Setting("max_depth", int, "forest.max_depth", flag=False, optional=True),
+    Setting("max_features", int, "forest.max_features", flag=False, optional=True),
+    Setting("collapse_warmup", int, "train.collapse_warmup_epochs"),
+    Setting("synth_n", int, "synth.n_per_class_per_year"),
+    Setting("synth_divergent_year", int, "synth.divergent_year", optional=True),
+    Setting("synth_years", lambda text: tuple(map(int, text.split(","))), "synth.years"),
+    Setting("e1_stratify", None, "run.e1_stratify", choices=("class", "year_class")),
+)
+_ROWS = {row.key: row for row in SETTINGS}
 
 
 @dataclass(frozen=True)
@@ -179,8 +151,8 @@ class RunConfig:
     spike_both: bool = True
     contrastive_table: bool = True
     train: TrainConfig = TrainConfig()
-    encoder_overrides: tuple[tuple[str, int], ...] = ()
-    simsiam_overrides: tuple[tuple[str, int], ...] = ()
+    encoder_overrides: tuple[tuple[str, int], ...] = ()  # the data gives the rest of EncoderConfig
+    simsiam: SimSiamConfig = SimSiamConfig()
     forest: ForestConfig = ForestConfig()
     seed: int = 0
 
@@ -189,84 +161,100 @@ class RunConfig:
             raise ConfigError("exactly one of data/synth must be given")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
-        if self.method == "ssl" and self.aug is None:
-            raise ConfigError("method=ssl needs an augmentation (aug1|aug2|aug3)")
+        if self.method == "ssl" and self.aug not in AUGS:
+            raise ConfigError(f"method=ssl needs an augmentation (aug1|aug2|aug3), got {self.aug!r}")
         if self.method != "ssl" and self.aug is not None:
             raise ConfigError("aug is only meaningful with method=ssl")
+        if self.scenario.lower() not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+
+
+_SECTIONS = {"run": RunConfig, "train": TrainConfig, "forest": ForestConfig,
+             "synth": SynthConfig, "encoder": EncoderConfig, "simsiam": SimSiamConfig}
+
+
+def _default(row: Setting) -> object:
+    if not row.fields:
+        return row.default
+    section, name = row.fields.split()[0].split(".")
+    return getattr(_SECTIONS[section], name, row.default)  # a field default is a class attribute
+
+
+DEFAULTS: dict[str, object] = {row.key: _default(row) for row in SETTINGS}
+
+
+def _parse(row: Setting, text: str, where: str) -> object:
+    """`text` as `row`'s value; `where` names its source in the error."""
+    if text == "" or text.lower() == "none":
+        if row.optional:
+            return None
+        raise ConfigError(f"{where}: needs a value, got {text!r}")
+    try:
+        return (row.parse or _one_of(*row.choices))(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _config_entries(path: str | Path):
+    """(key, text, where) for each `key = value` line; blank lines and # comments are skipped."""
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _ROWS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        yield key, value, f"{path}:{lineno}: {key}"
+
+
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    """Flat `key = value` lines, values as text; blank lines and # comments are skipped."""
+    return {key: text for key, text, _ in _config_entries(path)}
+
+
+def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
+    """defaults < config file < explicit command-line flags, each value parsed by its row."""
+    settings = dict(DEFAULTS)
+    given = list(_config_entries(args.config)) if getattr(args, "config", None) else []
+    given += [(row.key, getattr(args, row.key), "--" + row.key.replace("_", "-"))
+              for row in SETTINGS if getattr(args, row.key, None) is not None]
+    for key, text, where in given:
+        settings[key] = _parse(_ROWS[key], text, where)
+    if settings["out"] is None:
+        settings["out"] = os.environ.get("SSLCROP_OUT", "runs")
+    return settings
+
+
+def _sections(s: dict[str, object]) -> dict[str, dict[str, object]]:
+    """Each config section's keyword arguments from settings `s` (values or their text)."""
+    kwargs: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
+    for row in SETTINGS:
+        value = s[row.key]
+        if row.fields and isinstance(value, str):
+            value = _parse(row, value, row.key)
+        for target in row.fields.split():
+            section, name = target.split(".")
+            kwargs[section][name] = value
+    return kwargs
 
 
 def settings_to_runconfig(s: dict[str, object], method: str | None = None,
                           scenario: str | None = None, aug: str | None = None) -> RunConfig:
-    method = method or str(s["method"])
-    scenario = scenario or str(s["scenario"])
-    aug = aug if aug is not None else (s["aug"] if method == "ssl" else None)
-    train = TrainConfig(
-        lr=float(s["lr"]),
-        batch_size=int(s["batch_size"]),
-        epochs_supervised=int(s["epochs_supervised"]),
-        epochs_pretrain=int(s["epochs_pretrain"]),
-        epochs_finetune=int(s["epochs_finetune"]),
-        momentum=float(s["momentum"]),
-        weight_decay=float(s["weight_decay"]),
-        seed=int(s["seed"]),
-        finetune_mode=str(s["finetune_mode"]),
-        dn_scale=float(s["dn_scale"]),
-        collapse_warmup_epochs=int(s["collapse_warmup"]),
-        collapse_threshold_factor=float(s["collapse_factor"]),
-    )
-    forest = ForestConfig(
-        n_trees=int(s["n_trees"]),
-        max_features=s["max_features"],
-        min_leaf=int(s["min_leaf"]),
-        max_depth=s["max_depth"],
-        seed=int(s["seed"]),
-    )
-    return RunConfig(
-        method=method,
-        scenario=scenario,
-        data=s["data"],
-        synth=None if s["data"] else settings_to_synthconfig(s),
-        target_year=s["target_year"],
-        e1_stratify=str(s["e1_stratify"]),
-        bands=_parse_bands(s["bands"]) if isinstance(s["bands"], str) else s["bands"],
-        drop_leading=int(s["drop_leading"]),
-        aug=aug,
-        aug2_unlabeled_target=bool(s["aug2_unlabeled_target"]),
-        spike_both=bool(s["spike_both"]),
-        contrastive_table=bool(s["contrastive_table"]),
-        train=train,
-        encoder_overrides=(
-            ("d_model", int(s["d_model"])),
-            ("n_heads", int(s["n_heads"])),
-            ("n_layers", int(s["n_layers"])),
-            ("ff_dim", int(s["ff_dim"])),
-        ),
-        simsiam_overrides=(
-            ("proj_hidden", int(s["proj_hidden"])),
-            ("head_out", int(s["head_out"])),
-            ("pred_hidden", int(s["pred_hidden"])),
-        ),
-        forest=forest,
-        seed=int(s["seed"]),
-    )
+    kwargs = _sections(s)
+    run_kwargs = kwargs["run"]
+    run_kwargs["method"] = method = method or run_kwargs["method"]
+    run_kwargs["scenario"] = scenario or run_kwargs["scenario"]
+    run_kwargs["aug"] = aug if aug is not None else (run_kwargs["aug"] if method == "ssl" else None)
+    return RunConfig(synth=None if run_kwargs["data"] else SynthConfig(**kwargs["synth"]),
+                     train=TrainConfig(**kwargs["train"]), forest=ForestConfig(**kwargs["forest"]),
+                     encoder_overrides=tuple(kwargs["encoder"].items()),
+                     simsiam=SimSiamConfig(**kwargs["simsiam"]), **run_kwargs)
 
 
 def settings_to_synthconfig(s: dict[str, object]) -> SynthConfig:
-    years = tuple(int(y) for y in str(s["synth_years"]).split(","))
-    return SynthConfig(
-        n_per_class_per_year=int(s["synth_n"]),
-        years=years,
-        divergent_year=s["synth_divergent_year"],
-        shift_steps=float(s["synth_shift_steps"]),
-        amplitude_scale=float(s["synth_amplitude_scale"]),
-        noise_sd=float(s["synth_noise_sd"]),
-        cloud_prob=float(s["synth_cloud_prob"]),
-        cloud_dn=float(s["synth_cloud_dn"]),
-        time_jitter_sd=float(s["synth_time_jitter"]),
-        amp_jitter_sd=float(s["synth_amp_jitter"]),
-        year_effect_sd=float(s["synth_year_effect"]),
-        seed=int(s["seed"]),
-    )
+    return SynthConfig(**_sections(s)["synth"])
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +296,6 @@ def _encoder_config(config: RunConfig, dataset: Dataset) -> EncoderConfig:
     )
 
 
-def _simsiam_config(config: RunConfig) -> M.SimSiamConfig:
-    return M.SimSiamConfig(**dict(config.simsiam_overrides))
-
-
 def _trace_dict(trace) -> dict:
     doc = {"losses": trace.losses}
     if trace.collapse is not None:
@@ -327,7 +311,7 @@ def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set:
         stripped = tuple(Sample(s.field_id, s.year, None, s.reflectance) for s in test_set.samples)
         pool = replace(train_set, samples=train_set.samples + stripped)
     policy = AugmentationPolicy(config.aug, dn_scale=config.train.dn_scale, spike_both=config.spike_both)
-    return pretrain(pool, policy, config.train, _encoder_config(config, dataset), _simsiam_config(config))
+    return pretrain(pool, policy, config.train, _encoder_config(config, dataset), config.simsiam)
 
 
 @blas.one_thread()
@@ -353,7 +337,7 @@ def run(
         method_tag = "RF"
     elif config.method == "tf":
         state, trace = train_supervised(
-            train_set, cfg, _encoder_config(config, dataset), _simsiam_config(config)
+            train_set, cfg, _encoder_config(config, dataset), config.simsiam
         )
         pred = M.predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
         traces["train"] = _trace_dict(trace)
@@ -515,220 +499,159 @@ def run_matrix(
 
 
 # ---------------------------------------------------------------------------
-# command-line front end
+# command-line front end: one handler per subcommand, (args, settings, output directory)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value settings file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory (default $SSLCROP_OUT or runs/)")
-    p.add_argument("--data", default=None, help="input CSV (omit to use the synthetic generator)")
-    p.add_argument("--bands", default=None, help="comma-separated bands to keep")
-    p.add_argument("--drop-leading", dest="drop_leading", type=int, default=None)
-    p.add_argument("--scenario", choices=("e1", "e2", "e3", "e4"), default=None)
-    p.add_argument("--target-year", dest="target_year", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    for key in (
-        "lr", "momentum", "weight_decay", "dn_scale",
-        "synth_shift_steps", "synth_amplitude_scale", "synth_noise_sd",
-        "synth_cloud_prob", "synth_time_jitter", "synth_amp_jitter", "synth_year_effect",
-        "collapse_factor",
-    ):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float, default=None)
-    for key in (
-        "batch_size", "epochs_supervised", "epochs_pretrain", "epochs_finetune",
-        "d_model", "n_heads", "n_layers", "ff_dim", "proj_hidden", "head_out", "pred_hidden",
-        "n_trees", "min_leaf", "collapse_warmup", "synth_n", "synth_divergent_year",
-    ):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
-    p.add_argument("--synth-years", dest="synth_years", default=None)
-    p.add_argument("--e1-stratify", dest="e1_stratify", choices=("class", "year_class"), default=None)
+def _csv_path(args: argparse.Namespace) -> Path:
+    path = Path(args.csv)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _cmd_synth(args, settings, out_dir) -> None:
+    dataset = generate(settings_to_synthconfig(settings))
+    write_csv(dataset, _csv_path(args))
+    print(f"wrote {len(dataset)} samples to {args.csv}")
+
+
+def _cmd_preprocess(args, settings, out_dir) -> None:
+    config = settings_to_runconfig(settings, method="tf")
+    dataset, removed = _preprocess(config, _load_dataset(config))
+    write_csv(dataset, _csv_path(args))
+    print(f"wrote {len(dataset)} samples ({dataset.n_bands} bands, {dataset.n_steps} steps), "
+          f"removed {len(removed)} constant series")
+
+
+def _cmd_run(args, settings, out_dir) -> None:
+    """`run`, and `train`: the same limited to rf/tf."""
+    if args.command == "train" and settings["method"] == "ssl":
+        raise ConfigError("train handles rf/tf; use run (or pretrain+finetune) for ssl")
+    report, files = run(settings_to_runconfig(settings))
+    write_artifacts(out_dir, files)
+    print(f"{report.method} {report.scenario}: OA={report.overall:.4f} -> {out_dir}")
+
+
+def _cmd_pretrain(args, settings, out_dir) -> None:
+    config = settings_to_runconfig(settings, method="ssl", aug=settings["aug"] or "aug1")
+    dataset, _, spec, train_set, test_set, _ = _prepare(config)
+    state, trace = _pretrain(config, dataset, train_set, test_set)
+    write_artifacts(out_dir, {"pretrained.json": M.checkpoint_text(state),
+                              "pretrain_trace.csv": trace.to_csv()})
+    warn = " (collapse warning)" if trace.collapse_warning else ""
+    last = trace.collapse[-1] if trace.collapse else float("nan")
+    print(f"pretrained {config.aug} {spec.kind}: collapse={last:.4f}{warn} -> {out_dir}")
+
+
+def _cmd_evaluate(args, settings, out_dir) -> None:
+    """`finetune` (fine-tune the checkpoint first) and `eval`: predict the test split."""
+    config = settings_to_runconfig(settings, method="tf")
+    dataset, _, spec, train_set, test_set, _ = _prepare(config)
+    state = M.load_checkpoint(args.checkpoint)
+    cfg = config.train
+    x_test = test_set.time_major() / cfg.dn_scale
+    files, traces, tag = {}, {}, "TF"
+    if args.command == "finetune":
+        state, trace = finetune(state, train_set, cfg)
+        traces["finetune"] = _trace_dict(trace)
+        files = {"finetuned.json": M.checkpoint_text(state), "finetune_trace.csv": trace.to_csv()}
+    if getattr(args, "contrastive", False):
+        ref = E.embed_reference(state, train_set, cfg.dn_scale)
+        pred, tag = E.contrastive_classify_batch(state, x_test, ref)[0], "contrastive"
+    else:
+        pred = M.predict_batched(state, x_test, cfg.batch_size)
+    report = E.build_report(spec.kind, tag, dataset, pred, test_set.labels_array(),
+                            seeds={"master": config.seed}, traces=traces)
+    files["report.json"] = report.to_json() + "\n"
+    write_artifacts(out_dir, files)
+    done = "finetuned" if args.command == "finetune" else f"eval {tag}"
+    print(f"{done} {spec.kind}: OA={report.overall:.4f} -> {out_dir}")
+
+
+def _cmd_matrix(args, settings, out_dir) -> None:
+    summary = run_matrix(settings, out_dir, jobs=settings["jobs"])
+    write_artifacts(out_dir, {"summary.csv": summary})
+    print(summary, end="")
+
+
+def _cmd_export_embeddings(args, settings, out_dir) -> None:
+    config = settings_to_runconfig(settings, method="tf")
+    dataset, _ = _preprocess(config, _load_dataset(config))
+    if args.source == "encoder":
+        if not args.checkpoint:
+            raise ConfigError("--source encoder needs --checkpoint")
+        X = dataset.time_major() / config.train.dn_scale
+        emb = M.encode_batched(M.load_checkpoint(args.checkpoint), X, config.train.batch_size)
+    else:
+        emb = dataset.feature_matrix()
+    coords, ratios = E.pca_project(emb, k=2)
+    lines = ["sample_id,class,pc1,pc2"]
+    for s, (pc1, pc2) in zip(dataset.samples, coords):
+        cls = str(int(s.label)) if s.label is not None else ""
+        lines.append(f"{s.field_id},{cls},{float(pc1)!r},{float(pc2)!r}")
+    _csv_path(args).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"explained variance ratios: {ratios[0]:.4f}, {ratios[1]:.4f} -> {args.csv}")
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace, dict, Path], None]
+    flags: dict[str, dict]  # after the common ones: a settings key or a flag of its own
+
+
+_CSV = {"csv": {"required": True, "help": "output CSV path"}}
+COMMANDS = {
+    "synth": Command("write a synthetic dataset CSV", _cmd_synth, _CSV),
+    "preprocess": Command("band selection / truncation / cleanup", _cmd_preprocess, _CSV),
+    "train": Command("supervised training (tf or rf) on a scenario", _cmd_run,
+                     {"method": {"choices": ("rf", "tf")}}),
+    "pretrain": Command("siamese pre-training on a scenario's train pool", _cmd_pretrain, {"aug": {}}),
+    "finetune": Command("fine-tune a pre-trained checkpoint", _cmd_evaluate,
+                        {"checkpoint": {"required": True}, "finetune_mode": {}}),
+    "eval": Command("evaluate a checkpoint on a scenario's test split", _cmd_evaluate, {
+        "checkpoint": {"required": True},
+        "contrastive": {"action": "store_true", "help": "nearest-class loss evaluation"}}),
+    "matrix": Command("methods x scenarios grid, summary CSV", _cmd_matrix,
+                      {"methods": {}, "scenarios": {}}),
+    "export-embeddings": Command("2-D PCA coordinates as CSV", _cmd_export_embeddings, {
+        "source": {"choices": ("raw", "encoder"), "default": "raw"},
+        "checkpoint": {"help": "needed for --source encoder"}, **_CSV}),
+    "run": Command("full single-scenario pipeline (any method)", _cmd_run,
+                   {"method": {}, "aug": {}, "finetune_mode": {}}),
+}
+
+
+def _add_flag(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    """`--name`; a settings key's flag takes its choices and help from its row."""
+    if name in _ROWS:
+        kwargs = {"choices": _ROWS[name].choices, "help": _ROWS[name].help, **kwargs}
+    parser.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="sslcrop",
-        description="Crop-type classification experiments on band time series",
-    )
+        prog="sslcrop", description="Crop-type classification experiments on band time series")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="write a synthetic dataset CSV")
-    _add_common(p)
-    p.add_argument("--csv", required=True, help="output CSV path")
-
-    p = sub.add_parser("preprocess", help="band selection / truncation / cleanup")
-    _add_common(p)
-    p.add_argument("--csv", required=True, help="output CSV path")
-
-    p = sub.add_parser("train", help="supervised training (tf or rf) on a scenario")
-    _add_common(p)
-    p.add_argument("--method", choices=("rf", "tf"), default=None)
-
-    p = sub.add_parser("pretrain", help="siamese pre-training on a scenario's train pool")
-    _add_common(p)
-    p.add_argument("--aug", choices=("aug1", "aug2", "aug3"), default=None)
-
-    p = sub.add_parser("finetune", help="fine-tune a pre-trained checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--finetune-mode", dest="finetune_mode", choices=("linear", "full"), default=None)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a scenario's test split")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--contrastive", action="store_true", help="nearest-class loss evaluation")
-
-    p = sub.add_parser("matrix", help="methods x scenarios grid, summary CSV")
-    _add_common(p)
-    p.add_argument("--methods", default=None, help="e.g. rf,tf,ssl:aug1,ssl:aug3")
-    p.add_argument("--scenarios", default=None, help="e.g. e1,e2,e3,e4")
-
-    p = sub.add_parser("export-embeddings", help="2-D PCA coordinates as CSV")
-    _add_common(p)
-    p.add_argument("--source", choices=("raw", "encoder"), default="raw")
-    p.add_argument("--checkpoint", help="needed for --source encoder")
-    p.add_argument("--csv", required=True, help="output CSV path")
-
-    p = sub.add_parser("run", help="full single-scenario pipeline (any method)")
-    _add_common(p)
-    p.add_argument("--method", choices=("rf", "tf", "ssl"), default=None)
-    p.add_argument("--aug", choices=("aug1", "aug2", "aug3"), default=None)
-    p.add_argument("--finetune-mode", dest="finetune_mode", choices=("linear", "full"), default=None)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        _add_flag(p, "config", help="key = value settings file")
+        for row in SETTINGS:
+            if row.flag:
+                _add_flag(p, row.key)
+        for flag, kwargs in command.flags.items():
+            _add_flag(p, flag, **kwargs)
     return parser
-
-
-def _normalize_finetune_mode(settings: dict[str, object]) -> None:
-    if settings.get("finetune_mode") == "linear":
-        settings["finetune_mode"] = "linear_probe"
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with blas.one_thread():  # every command's bytes are those of one BLAS thread
-            return _dispatch(args)
+            settings = resolve_settings(args)
+            COMMANDS[args.command].handler(args, settings, Path(settings["out"]))
+        return 0
     except Exception as exc:
         print(f"sslcrop: error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    _normalize_finetune_mode(settings)
-    out_dir = Path(str(settings["out"]))
-    command = args.command
-
-    if command == "synth":
-        dataset = generate(settings_to_synthconfig(settings))
-        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-        write_csv(dataset, args.csv)
-        print(f"wrote {len(dataset)} samples to {args.csv}")
-        return 0
-
-    if command == "preprocess":
-        config = settings_to_runconfig(settings, method="tf")
-        dataset, removed = _preprocess(config, _load_dataset(config))
-        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-        write_csv(dataset, args.csv)
-        print(
-            f"wrote {len(dataset)} samples ({dataset.n_bands} bands, {dataset.n_steps} steps), "
-            f"removed {len(removed)} constant series"
-        )
-        return 0
-
-    if command in ("train", "run"):
-        method = str(settings["method"])
-        if command == "train" and method not in ("rf", "tf"):
-            raise ConfigError("train handles rf/tf; use run (or pretrain+finetune) for ssl")
-        config = settings_to_runconfig(settings, method=method)
-        report, files = run(config)
-        write_artifacts(out_dir, files)
-        print(f"{report.method} {report.scenario}: OA={report.overall:.4f} -> {out_dir}")
-        return 0
-
-    if command == "pretrain":
-        aug = settings["aug"] or "aug1"
-        config = settings_to_runconfig(settings, method="ssl", aug=str(aug))
-        dataset, _, spec, train_set, test_set, _ = _prepare(config)
-        state, trace = _pretrain(config, dataset, train_set, test_set)
-        write_artifacts(out_dir, {
-            "pretrained.json": M.checkpoint_text(state),
-            "pretrain_trace.csv": trace.to_csv(),
-        })
-        warn = " (collapse warning)" if trace.collapse_warning else ""
-        last = trace.collapse[-1] if trace.collapse else float("nan")
-        print(f"pretrained {config.aug} {spec.kind}: collapse={last:.4f}{warn} -> {out_dir}")
-        return 0
-
-    if command == "finetune":
-        config = settings_to_runconfig(settings, method="tf")
-        dataset, _, spec, train_set, test_set, _ = _prepare(config)
-        backbone = M.load_checkpoint(args.checkpoint)
-        cfg = config.train
-        tuned, trace = finetune(backbone, train_set, cfg)
-        pred = M.predict_batched(tuned, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
-        report = E.build_report(
-            spec.kind, "TF", dataset, pred, test_set.labels_array(),
-            seeds={"master": config.seed}, traces={"finetune": _trace_dict(trace)},
-        )
-        write_artifacts(out_dir, {
-            "finetuned.json": M.checkpoint_text(tuned),
-            "finetune_trace.csv": trace.to_csv(),
-            "report.json": report.to_json() + "\n",
-        })
-        print(f"finetuned {spec.kind}: OA={report.overall:.4f} -> {out_dir}")
-        return 0
-
-    if command == "eval":
-        config = settings_to_runconfig(settings, method="tf")
-        dataset, _, spec, train_set, test_set, _ = _prepare(config)
-        state = M.load_checkpoint(args.checkpoint)
-        cfg = config.train
-        truth = test_set.labels_array()
-        if args.contrastive:
-            ref = E.embed_reference(state, train_set, cfg.dn_scale)
-            pred, _ = E.contrastive_classify_batch(
-                state, test_set.time_major() / cfg.dn_scale, ref
-            )
-            tag = "contrastive"
-        else:
-            pred = M.predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
-            tag = "TF"
-        report = E.build_report(
-            spec.kind, tag, dataset, pred, truth, seeds={"master": config.seed}
-        )
-        write_artifacts(out_dir, {"report.json": report.to_json() + "\n"})
-        print(f"eval {tag} {spec.kind}: OA={report.overall:.4f} -> {out_dir}")
-        return 0
-
-    if command == "matrix":
-        summary = run_matrix(settings, out_dir, jobs=int(settings["jobs"]))
-        write_artifacts(out_dir, {"summary.csv": summary})
-        print(summary, end="")
-        return 0
-
-    if command == "export-embeddings":
-        config = settings_to_runconfig(settings, method="tf")
-        dataset, _ = _preprocess(config, _load_dataset(config))
-        if args.source == "encoder":
-            if not args.checkpoint:
-                raise ConfigError("--source encoder needs --checkpoint")
-            state = M.load_checkpoint(args.checkpoint)
-            X = dataset.time_major() / config.train.dn_scale
-            emb = M.encode_batched(state, X, config.train.batch_size)
-        else:
-            emb = dataset.feature_matrix()
-        coords, ratios = E.pca_project(emb, k=2)
-        lines = ["sample_id,class,pc1,pc2"]
-        for s, (pc1, pc2) in zip(dataset.samples, coords):
-            cls = str(int(s.label)) if s.label is not None else ""
-            lines.append(f"{s.field_id},{cls},{float(pc1)!r},{float(pc2)!r}")
-        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"explained variance ratios: {ratios[0]:.4f}, {ratios[1]:.4f} -> {args.csv}")
-        return 0
-
-    raise ConfigError(f"unknown command {command!r}")
 
 
 if __name__ == "__main__":

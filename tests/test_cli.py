@@ -18,6 +18,9 @@ from sslcrop import model as M
 from sslcrop.augment import AugmentationPolicy
 from sslcrop.cli import main, parse_config_file, run, run_matrix
 from sslcrop.dataio import load_csv
+from sslcrop.forest import ForestConfig
+from sslcrop.model import EncoderConfig, SimSiamConfig
+from sslcrop.synthgen import SynthConfig
 from sslcrop.train import TrainConfig, pretrain
 
 
@@ -115,6 +118,97 @@ class TestConfigFile:
         settings = cli.resolve_settings(args)
         assert settings["out"] == str(tmp_path / "envout")
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed = abc", "seed: invalid literal for int()"),
+        ("lr = none", "lr: needs a value"),
+        ("synth_years =", "synth_years: needs a value"),
+        ("spike_both = maybe", "spike_both: cannot parse boolean"),
+        ("e1_stratify = county", "e1_stratify: 'county' is not one of"),
+        ("bands = B02,B99", "bands: unknown bands ['B99']"),
+    ])
+    def test_bad_value_fails_when_read_naming_where(self, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# the second line is bad\n{line}\nseed = 4\n")
+        args = cli.build_parser().parse_args(["train", "--config", str(cfg)])
+        with pytest.raises(cli.ConfigError) as err:
+            cli.resolve_settings(args)
+        assert str(err.value).startswith(f"{cfg}:2: {message}")
+
+    def test_only_optional_keys_may_be_unset(self, tmp_path):
+        optional = {"data", "out", "aug", "bands", "target_year", "max_depth", "max_features",
+                    "synth_divergent_year"}
+        assert {row.key for row in cli.SETTINGS if row.optional} == optional
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = none\n" for key in sorted(optional - {"out"})))
+        settings = cli.resolve_settings(cli.build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert all(settings[key] is None for key in optional - {"out"})
+
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys):
+        assert main(["train", "--out", str(tmp_path / "out"), "--seed", "abc"]) == 1
+        assert capsys.readouterr().err.startswith("sslcrop: error: --seed: invalid literal")
+        assert not (tmp_path / "out").exists()
+
+
+def other_text(key):
+    """A value of settings key `key` other than its default, as a flag or config file spells it."""
+    fixed = {"data": "in.csv", "out": "elsewhere", "bands": "B02,B8A", "target_year": "2017",
+             "aug": "aug2", "synth_years": "2017, 2018", "methods": "rf,ssl:aug3", "scenarios": "e2"}
+    if key in fixed:
+        return fixed[key]
+    row = next(row for row in cli.SETTINGS if row.key == key)
+    if row.choices:
+        return next(choice for choice in row.choices if choice != cli.DEFAULTS[key])
+    return repr(cli.DEFAULTS[key] * 2 + 1)
+
+
+# every key with a flag: those on every subcommand, and those of run and matrix
+FLAGGED_KEYS = [("run", row.key) for row in cli.SETTINGS if row.flag] + [
+    (command, key) for command in ("run", "matrix") for key in cli.COMMANDS[command].flags]
+
+
+class TestSettingsTable:
+    """cli.SETTINGS defines each key once: its flag and its config-file line give the
+    same value, and its defaults are those of the config dataclasses."""
+
+    def test_every_key_is_reachable(self):
+        keys = [row.key for row in cli.SETTINGS]
+        assert len(keys) == len(set(keys)) and set(keys) == set(cli.DEFAULTS)
+        config_only = {"max_depth", "max_features", "synth_cloud_dn", "aug2_unlabeled_target",
+                       "spike_both", "contrastive_table"}
+        assert set(keys) - {key for _, key in FLAGGED_KEYS} == config_only
+
+    @pytest.mark.parametrize("command, key", FLAGGED_KEYS)
+    def test_flag_and_file_give_the_same_value(self, tmp_path, command, key):
+        text = other_text(key)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        parser = cli.build_parser()
+        from_file = cli.resolve_settings(parser.parse_args([command, "--config", str(cfg)]))
+        from_flag = cli.resolve_settings(parser.parse_args([command, "--" + key.replace("_", "-"), text]))
+        assert from_flag == from_file
+        assert from_flag[key] != cli.DEFAULTS[key]
+        if cli.DEFAULTS[key] is not None:
+            assert type(from_flag[key]) is type(cli.DEFAULTS[key])
+
+    def test_defaults_build_the_dataclass_defaults(self):
+        config = cli.settings_to_runconfig(cli.DEFAULTS)
+        assert config.train == TrainConfig()
+        assert config.forest == ForestConfig()
+        assert config.simsiam == SimSiamConfig()
+        assert config.synth == cli.settings_to_synthconfig(cli.DEFAULTS) == SynthConfig()
+        shape = dict(n_bands=13, n_steps=14)
+        assert EncoderConfig(**shape, **dict(config.encoder_overrides)) == EncoderConfig(**shape)
+
+    def test_builders_accept_values_as_text(self):
+        as_text = dict(cli.DEFAULTS, seed="4", lr="0.5", synth_years="2017, 2018", bands="B02,B03",
+                       finetune_mode="linear", max_depth="none", spike_both="off", aug="aug3")
+        values = dict(cli.DEFAULTS, seed=4, lr=0.5, synth_years=(2017, 2018), bands=("B02", "B03"),
+                      finetune_mode="linear_probe", spike_both=False, aug="aug3")
+        for method in ("tf", "ssl"):
+            assert (cli.settings_to_runconfig(as_text, method=method)
+                    == cli.settings_to_runconfig(values, method=method))
+        assert cli.settings_to_synthconfig(as_text) == cli.settings_to_synthconfig(values)
+
 
 class TestRun:
     def test_rf_report_schema(self):
@@ -150,6 +244,13 @@ class TestRun:
             tiny_runconfig(method="ssl")  # ssl without aug
         with pytest.raises(cli.ConfigError):
             tiny_runconfig(method="rf", aug="aug1")
+
+    def test_unknown_aug_and_scenario_rejected(self):
+        with pytest.raises(cli.ConfigError, match="aug9"):
+            tiny_runconfig(method="ssl", aug="aug9")
+        with pytest.raises(cli.ConfigError, match="e9"):
+            tiny_runconfig(scenario="e9")
+        assert tiny_runconfig(scenario="E2").scenario == "E2"  # ScenarioSpec compares in lower case
 
 
 class TestMatrix:
@@ -258,6 +359,8 @@ class TestMatrix:
         (["--methods", ""], "methods"),
         (["--scenarios", " , "], "scenarios"),
         (["--jobs", "0"], "--jobs"),
+        (["--methods", "rf,ssl:aug9"], "aug9"),
+        (["--scenarios", "e1,e9"], "e9"),
     ])
     def test_bad_matrix_input_fails_early(self, tmp_path, capsys, flags, message):
         rc = main(["matrix", "--out", str(tmp_path / "out"), "--synth-n", "2"] + flags)
