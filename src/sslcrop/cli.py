@@ -296,12 +296,13 @@ def _encoder_config(config: RunConfig, dataset: Dataset) -> EncoderConfig:
     )
 
 
-def _trace_dict(trace) -> dict:
-    doc = {"losses": trace.losses}
+def _record(files: dict, traces: dict, phase: str, checkpoint_name: str, state, trace) -> None:
+    """A training phase's artifacts: its checkpoint, `<phase>_trace.csv` and its report trace."""
+    files[checkpoint_name] = M.checkpoint_text(state)
+    files[f"{phase}_trace.csv"] = trace.to_csv()
+    traces[phase] = {"losses": trace.losses}
     if trace.collapse is not None:
-        doc["collapse"] = trace.collapse
-        doc["collapse_warning"] = trace.collapse_warning
-    return doc
+        traces[phase].update(collapse=trace.collapse, collapse_warning=trace.collapse_warning)
 
 
 def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set: Dataset):
@@ -314,6 +315,11 @@ def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set:
     return pretrain(pool, policy, config.train, _encoder_config(config, dataset), config.simsiam)
 
 
+def _nearest_class(state, reference: Dataset, x_test, dn_scale: float):
+    """Contrastive predictions: each test series takes the class nearest under the loss."""
+    return E.contrastive_classify_batch(state, x_test, E.embed_reference(state, reference, dn_scale))[0]
+
+
 @blas.one_thread()
 def run(
     config: RunConfig, raw: Dataset | None = None
@@ -324,26 +330,18 @@ def run(
     on the machine's core count and equal those of the same matrix cell."""
     dataset, removed, spec, train_set, test_set, moved_ids = _prepare(config, raw)
     truth = test_set.labels_array()
-    files: dict[str, str] = {}
+    files, traces = {}, {}
     extras: dict = {"removed_constant_series": list(removed)}
     if moved_ids:
         extras["target_train_ids"] = list(moved_ids)
-    traces: dict[str, dict] = {}
     cfg = config.train
 
     if config.method == "rf":
-        forest = rf_fit(train_set, config.forest)
-        pred = rf_predict(forest, test_set)
-        method_tag = "RF"
+        pred, tag = rf_predict(rf_fit(train_set, config.forest), test_set), "RF"
     elif config.method == "tf":
-        state, trace = train_supervised(
-            train_set, cfg, _encoder_config(config, dataset), config.simsiam
-        )
-        pred = M.predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size)
-        traces["train"] = _trace_dict(trace)
-        files["train_trace.csv"] = trace.to_csv()
-        files["model.json"] = M.checkpoint_text(state)
-        method_tag = "TF"
+        state, trace = train_supervised(train_set, cfg, _encoder_config(config, dataset), config.simsiam)
+        pred, tag = M.predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size), "TF"
+        _record(files, traces, "train", "model.json", state, trace)
     else:
         backbone, pre_trace = _pretrain(config, dataset, train_set, test_set)
         x_test = test_set.time_major() / cfg.dn_scale
@@ -353,39 +351,21 @@ def run(
             return tuned, ft_trace, M.predict_batched(tuned, x_test, cfg.batch_size)
 
         def contrast():  # reads the backbone only, as fine-tuning does
-            ref = E.embed_reference(backbone, train_set, cfg.dn_scale)
-            return E.contrastive_classify_batch(backbone, x_test, ref)[0]
+            if config.contrastive_table:
+                return _nearest_class(backbone, train_set, x_test, cfg.dn_scale)
 
-        if config.contrastive_table:  # beside fine-tuning, under the views' thread rule
-            with thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-eval") as pool:
-                (tuned, ft_trace, pred), cpred = in_parallel(pool, tune, contrast)
-        else:
-            tuned, ft_trace, pred = tune()
-        traces["pretrain"] = _trace_dict(pre_trace)
-        traces["finetune"] = _trace_dict(ft_trace)
-        files["pretrain_trace.csv"] = pre_trace.to_csv()
-        files["finetune_trace.csv"] = ft_trace.to_csv()
-        files["pretrained.json"] = M.checkpoint_text(backbone)
-        files["finetuned.json"] = M.checkpoint_text(tuned)
-        if config.contrastive_table:
-            conf = E.confusion_matrix(truth, cpred)
-            extras["contrastive"] = {
-                "overall_accuracy": E.overall_accuracy(cpred, truth),
-                "confusion_matrix": conf.tolist(),
-                "per_class_accuracy": E.per_class_accuracy(conf),
-            }
-        method_tag = f"SSL+Aug{config.aug[-1]}"
+        # the table runs beside fine-tuning, under the views' thread rule; one thread runs both serially
+        threads = (cfg.branch_threads or branch_threads()) if config.contrastive_table else 1
+        with thread_pair(threads, "sslcrop-eval") as pool:
+            (tuned, ft_trace, pred), cpred = in_parallel(pool, tune, contrast)
+        _record(files, traces, "pretrain", "pretrained.json", backbone, pre_trace)
+        _record(files, traces, "finetune", "finetuned.json", tuned, ft_trace)
+        if cpred is not None:
+            extras["contrastive"] = E.scores(cpred, truth)
+        tag = f"SSL+Aug{config.aug[-1]}"
 
-    report = E.build_report(
-        scenario=spec.kind,
-        method=method_tag,
-        dataset_like=dataset,
-        pred=pred,
-        truth=truth,
-        seeds={"master": config.seed},
-        traces=traces,
-        extras=extras,
-    )
+    report = E.build_report(spec.kind, tag, dataset, pred, truth, seeds={"master": config.seed},
+                            traces=traces, extras=extras)
     files["report.json"] = report.to_json() + "\n"
     return report, files
 
@@ -403,15 +383,14 @@ def write_artifacts(out_dir: str | Path, files: dict[str, str]) -> None:
 # matrix
 
 
-def _method_tokens(text: str) -> list[tuple[str, str | None]]:
+def _method_tokens(text: str) -> list[tuple[str, str, str | None]]:
+    """(label, method, aug) of each `method` or `ssl:<aug>` token."""
     out = []
     for token in (t.strip() for t in str(text).split(",")):
-        if not token:
-            continue
         if token.startswith("ssl:"):
-            out.append(("ssl", token.split(":", 1)[1]))
-        else:
-            out.append((token, None))
+            out.append((token.replace(":", "+", 1), "ssl", token.split(":", 1)[1]))
+        elif token:
+            out.append((token, token, None))
     return out
 
 
@@ -440,60 +419,53 @@ def run_matrix(
     A worker that dies raises `RuntimeError` naming the cells it was running."""
     methods = _method_tokens(str(settings["methods"]))
     scenarios = [s.strip() for s in str(settings["scenarios"]).split(",") if s.strip()]
-    for key, items in (("methods", methods), ("scenarios", scenarios)):
+    for key, items in (("methods", [label for label, _, _ in methods]),
+                       ("scenarios", [s.lower() for s in scenarios])):
         if not items:
             raise ConfigError(f"matrix needs at least one entry in {key}, got {settings[key]!r}")
+        if len(set(items)) < len(items):  # as ScenarioSpec does, e1 and E1 are one scenario
+            raise ConfigError(f"matrix {key} must not repeat an entry, got {settings[key]!r}")
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    cells: dict[tuple[int, str], RunConfig] = {}
-    for mi, (method, aug) in enumerate(methods):
-        for scen in scenarios:
-            cells[(mi, scen)] = settings_to_runconfig(
-                settings, method=method, scenario=scen, aug=aug
-            )
-    labels = [method if aug is None else f"{method}+{aug}" for method, aug in methods]
-    order = sorted(cells)
-    workers = min(jobs, len(order))
+    cells = [(label, scen, settings_to_runconfig(settings, method=method, scenario=scen, aug=aug))
+             for label, method, aug in methods for scen in scenarios]  # row by row
+    workers = min(jobs, len(cells))
     threads = branch_threads(workers)
-    cells = {key: replace(c, train=replace(c.train, branch_threads=threads)) for key, c in cells.items()}
-    sample = cells[order[0]]
-    raw = _load_dataset(sample)  # every cell shares the data source; workers inherit it
+    raw = _load_dataset(cells[0][2])  # every cell shares the data source; workers inherit it
     # imported here: every other command would pay about 40 ms and 1.5 MiB at start-up
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    started = ctx.RawArray("b", len(order))  # set by the worker that takes the cell
+    started = ctx.RawArray("b", len(cells))  # set by the worker that takes the cell
 
     def one(i: int) -> str:
         started[i] = 1
-        mi, scen = order[i]
-        cell_dir = out_dir / f"{labels[mi]}_{scen}"
+        label, scen, config = cells[i]
+        cell_dir = out_dir / f"{label}_{scen}"
         try:
-            report, files = run(cells[order[i]], raw)
+            report, files = run(replace(config, train=replace(config.train, branch_threads=threads)), raw)
             write_artifacts(cell_dir, files)
             return repr(report.overall)
         except Exception as exc:  # cell failures must not kill the matrix
-            print(f"[matrix] {labels[mi]}/{scen} failed: {exc}", file=sys.stderr)
+            print(f"[matrix] {label}/{scen} failed: {exc}", file=sys.stderr)
             write_artifacts(cell_dir, {"error.txt": traceback.format_exc()})
             return "error"
 
     with concurrent.futures.ProcessPoolExecutor(
         workers, mp_context=ctx, initializer=_init_worker, initargs=(one,)
     ) as pool:
-        futures = [pool.submit(_run_cell, i) for i in range(len(order))]
+        futures = [pool.submit(_run_cell, i) for i in range(len(cells))]
         try:
-            results = dict(zip(order, (f.result() for f in futures)))
+            results = [f.result() for f in futures]
         except concurrent.futures.BrokenExecutor:  # a worker died
-            lost = [f"{labels[mi]}/{scen}" for (mi, scen), f, flag in zip(order, futures, started)
+            lost = [f"{label}/{scen}" for (label, scen, _), f, flag in zip(cells, futures, started)
                     if flag and f.exception()]
-            raise RuntimeError(
-                f"a matrix worker process died while running {', '.join(lost)}"
-            ) from None
+            raise RuntimeError(f"a matrix worker process died while running {', '.join(lost)}") from None
 
-    dataset, _ = _preprocess(sample, raw)
+    dataset, _ = _preprocess(cells[0][2], raw)
     lines = ["method," + ",".join(s.upper() for s in scenarios)]
-    for mi, label in enumerate(labels):
-        lines.append(",".join([label] + [results[(mi, scen)] for scen in scenarios]))
+    for row in range(0, len(cells), len(scenarios)):
+        lines.append(",".join([cells[row][0]] + results[row : row + len(scenarios)]))
     header = f"# bands={len(dataset.band_ids)} steps={dataset.n_steps}\n"
     return header + "\n".join(lines) + "\n"
 
@@ -535,8 +507,9 @@ def _cmd_pretrain(args, settings, out_dir) -> None:
     config = settings_to_runconfig(settings, method="ssl", aug=settings["aug"] or "aug1")
     dataset, _, spec, train_set, test_set, _ = _prepare(config)
     state, trace = _pretrain(config, dataset, train_set, test_set)
-    write_artifacts(out_dir, {"pretrained.json": M.checkpoint_text(state),
-                              "pretrain_trace.csv": trace.to_csv()})
+    files: dict[str, str] = {}
+    _record(files, {}, "pretrain", "pretrained.json", state, trace)
+    write_artifacts(out_dir, files)
     warn = " (collapse warning)" if trace.collapse_warning else ""
     last = trace.collapse[-1] if trace.collapse else float("nan")
     print(f"pretrained {config.aug} {spec.kind}: collapse={last:.4f}{warn} -> {out_dir}")
@@ -552,11 +525,9 @@ def _cmd_evaluate(args, settings, out_dir) -> None:
     files, traces, tag = {}, {}, "TF"
     if args.command == "finetune":
         state, trace = finetune(state, train_set, cfg)
-        traces["finetune"] = _trace_dict(trace)
-        files = {"finetuned.json": M.checkpoint_text(state), "finetune_trace.csv": trace.to_csv()}
+        _record(files, traces, "finetune", "finetuned.json", state, trace)
     if getattr(args, "contrastive", False):
-        ref = E.embed_reference(state, train_set, cfg.dn_scale)
-        pred, tag = E.contrastive_classify_batch(state, x_test, ref)[0], "contrastive"
+        pred, tag = _nearest_class(state, train_set, x_test, cfg.dn_scale), "contrastive"
     else:
         pred = M.predict_batched(state, x_test, cfg.batch_size)
     report = E.build_report(spec.kind, tag, dataset, pred, test_set.labels_array(),

@@ -52,6 +52,13 @@ def per_class_accuracy(conf: np.ndarray) -> list[float | None]:
     return out
 
 
+def scores(pred: Sequence[int], truth: Sequence[int]) -> dict:
+    """A report's accuracy keys: overall_accuracy, confusion_matrix, per_class_accuracy."""
+    conf = confusion_matrix(truth, pred)
+    return {"overall_accuracy": overall_accuracy(pred, truth), "confusion_matrix": conf.tolist(),
+            "per_class_accuracy": per_class_accuracy(conf)}
+
+
 # ---------------------------------------------------------------------------
 # contrastive nearest-class classification
 
@@ -228,14 +235,7 @@ def build_report(
     truth: Sequence[int],
     **kwargs,
 ) -> ExperimentReport:
-    conf = confusion_matrix(truth, pred)
-    return ExperimentReport(
-        scenario=scenario,
-        method=method,
-        bands=dataset_like.band_ids,
-        n_steps=dataset_like.n_steps,
-        overall=overall_accuracy(pred, truth),
-        confusion=conf.tolist(),
-        per_class=per_class_accuracy(conf),
-        **kwargs,
-    )
+    s = scores(pred, truth)
+    return ExperimentReport(scenario, method, dataset_like.band_ids, dataset_like.n_steps,
+                            s["overall_accuracy"], s["confusion_matrix"], s["per_class_accuracy"],
+                            **kwargs)

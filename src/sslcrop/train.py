@@ -112,14 +112,16 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 
 def _supervised_epochs(
     state: ModelState,
-    X: np.ndarray,
-    y0: np.ndarray,
+    data: Dataset,
     params: dict,
     cfg: TrainConfig,
     epochs: int,
-    trace: TrainTrace,
-) -> None:
+) -> tuple[ModelState, TrainTrace]:
+    """Cross-entropy epochs on `data`, updating `params` of `state` in place."""
+    y0 = data.labels_array() - 1  # raises on unlabeled samples
+    X = data.time_major() / cfg.dn_scale
     n = len(X)
+    trace = TrainTrace()
     # params outside `params` are never updated, so a view made once stays current
     view = M.constant_view(state, keep=params)
     for epoch in range(epochs):
@@ -133,6 +135,7 @@ def _supervised_epochs(
             total += loss.item() * len(idx)
         trace.losses.append(total / n)
         trace.seconds.append(time.perf_counter() - t0)
+    return state, trace
 
 
 def train_supervised(
@@ -142,14 +145,10 @@ def train_supervised(
     simsiam: SimSiamConfig | None = None,
 ) -> tuple[ModelState, TrainTrace]:
     """Train encoder + linear head from scratch with cross-entropy."""
-    y = train.labels_array()  # raises on unlabeled samples
     encoder = encoder or EncoderConfig(n_bands=train.n_bands, n_steps=train.n_steps)
     state = M.init_model(encoder, simsiam or SimSiamConfig(), n_classes=6, seed=cfg.seed)
-    X = train.time_major() / cfg.dn_scale
     params = {**M.encoder_params(state), **M.classifier_params(state)}
-    trace = TrainTrace()
-    _supervised_epochs(state, X, y - 1, params, cfg, cfg.epochs_supervised, trace)
-    return state, trace
+    return _supervised_epochs(state, train, params, cfg, cfg.epochs_supervised)
 
 
 def _make_pairs(
@@ -277,14 +276,10 @@ def finetune(
     linear_probe updates only the head; full updates encoder and head.  The
     input state is never modified.
     """
-    y = labeled.labels_array()
     state = M.clone_state(backbone)
     M.attach_classifier(state, n_classes=6, seed=cfg.seed)
     if cfg.finetune_mode == "linear_probe":
         params = M.classifier_params(state)
     else:
         params = {**M.encoder_params(state), **M.classifier_params(state)}
-    X = labeled.time_major() / cfg.dn_scale
-    trace = TrainTrace()
-    _supervised_epochs(state, X, y - 1, params, cfg, cfg.epochs_finetune, trace)
-    return state, trace
+    return _supervised_epochs(state, labeled, params, cfg, cfg.epochs_finetune)

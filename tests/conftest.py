@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ def make_sample(field_id, year, label, n_bands=4, n_steps=6, fill=None, rng=None
     if fill is not None:
         ref = np.full((n_bands, n_steps), float(fill))
     else:
-        rng = rng or np.random.default_rng(abs(hash(field_id)) % 2**32)
+        rng = rng or np.random.default_rng(zlib.crc32(field_id.encode()))  # hash() is salted per process
         ref = rng.uniform(500, 5000, (n_bands, n_steps))
     return Sample(field_id, year, label, ref)
 

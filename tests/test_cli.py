@@ -361,6 +361,9 @@ class TestMatrix:
         (["--jobs", "0"], "--jobs"),
         (["--methods", "rf,ssl:aug9"], "aug9"),
         (["--scenarios", "e1,e9"], "e9"),
+        (["--methods", "rf,rf"], "methods"),
+        (["--methods", "ssl:aug1,ssl:aug1"], "methods"),
+        (["--scenarios", "e1,E1"], "scenarios"),  # one scenario, as ScenarioSpec compares them
     ])
     def test_bad_matrix_input_fails_early(self, tmp_path, capsys, flags, message):
         rc = main(["matrix", "--out", str(tmp_path / "out"), "--synth-n", "2"] + flags)
@@ -444,6 +447,47 @@ class TestThreads:
         run_matrix(settings, tmp_path, jobs=1)
         for name in ("report.json", "model.json"):
             assert (tmp_path / "tf_e1" / name).read_text() == files[name], name
+
+
+class TestStepsReproduceRun:
+    """`pretrain`, `finetune` and `eval` run the stages of `run --method ssl` one at a time,
+    so they write its bytes; and `run` writes exactly its method's files."""
+
+    # settings under which both the head's and the nearest-class predictions spread over classes
+    FLAGS = ["--seed", "3", "--synth-n", "6", "--synth-noise-sd", "100", "--synth-cloud-prob", "0",
+             "--d-model", "8", "--n-heads", "2", "--n-layers", "1", "--ff-dim", "32",
+             "--batch-size", "16", "--lr", "0.01", "--epochs-pretrain", "6", "--epochs-finetune", "4",
+             "--collapse-warmup", "1000000", "--scenario", "e3"]
+
+    def test_steps_write_the_bytes_of_run(self, tmp_path):
+        def step(out, *flags):
+            assert main(list(flags) + ["--out", str(tmp_path / out)] + self.FLAGS) == 0
+            return tmp_path / out
+
+        whole = step("run", "run", "--method", "ssl", "--aug", "aug1")
+        pretrained = step("pretrain", "pretrain", "--aug", "aug1")
+        tuned = step("finetune", "finetune", "--checkpoint", str(pretrained / "pretrained.json"))
+        contrastive = step("eval", "eval", "--contrastive",
+                           "--checkpoint", str(pretrained / "pretrained.json"))
+        for out, names in ((pretrained, ("pretrained.json", "pretrain_trace.csv")),
+                           (tuned, ("finetuned.json", "finetune_trace.csv"))):
+            for name in names:
+                assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+        run_doc, tuned_doc, contrastive_doc = (json.loads((out / "report.json").read_text())
+                                               for out in (whole, tuned, contrastive))
+        for doc, expected in ((tuned_doc, run_doc), (contrastive_doc, run_doc["extras"]["contrastive"])):
+            assert doc["overall_accuracy"] == expected["overall_accuracy"]
+            assert doc["confusion_matrix"] == expected["confusion_matrix"]
+
+    @pytest.mark.parametrize("method, aug, names", [
+        ("rf", None, {"report.json"}),
+        ("tf", None, {"report.json", "model.json", "train_trace.csv"}),
+        ("ssl", "aug1", {"report.json", "pretrained.json", "finetuned.json", "pretrain_trace.csv",
+                         "finetune_trace.csv"}),
+    ])
+    def test_run_writes_its_methods_files(self, method, aug, names):
+        _, files = run(tiny_runconfig(method=method, aug=aug))
+        assert set(files) == names
 
 
 class TestEvaluationBesideFinetuning:
