@@ -5,5 +5,3 @@ pre-training with three augmentation policies, collapse monitoring,
 fine-tuning, and contrastive nearest-class evaluation, over four
 label-availability scenarios.
 """
-
-__version__ = "0.1.0"

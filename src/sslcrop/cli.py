@@ -209,11 +209,6 @@ def _config_entries(path: str | Path):
         yield key, value, f"{path}:{lineno}: {key}"
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat `key = value` lines, values as text; blank lines and # comments are skipped."""
-    return {key: text for key, text, _ in _config_entries(path)}
-
-
 def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
     """defaults < config file < explicit command-line flags, each value parsed by its row."""
     settings = dict(DEFAULTS)
@@ -278,7 +273,8 @@ def _preprocess(config: RunConfig, dataset: Dataset) -> tuple[Dataset, tuple[str
 
 def _prepare(config: RunConfig, raw: Dataset | None = None) -> tuple:
     """Preprocess `raw` (loaded if None) and split it for the scenario: (dataset,
-    removed series, spec, train, test, ids of target-year samples in train)."""
+    the report's extras, spec, train, test).  The extras name the removed series
+    and, if any, the target-year samples moved into train."""
     dataset, removed = _preprocess(config, _load_dataset(config) if raw is None else raw)
     target = config.target_year
     if target is None and config.scenario != "e1":
@@ -287,7 +283,11 @@ def _prepare(config: RunConfig, raw: Dataset | None = None) -> tuple:
         else:
             target = max(dataset.years())
     spec = ScenarioSpec(config.scenario, target, seed=config.seed, e1_stratify=config.e1_stratify)
-    return (dataset, removed, spec, *make_split(dataset, spec))
+    train_set, test_set, moved_ids = make_split(dataset, spec)
+    extras: dict = {"removed_constant_series": list(removed)}
+    if moved_ids:
+        extras["target_train_ids"] = list(moved_ids)
+    return dataset, extras, spec, train_set, test_set
 
 
 def _encoder_config(config: RunConfig, dataset: Dataset) -> EncoderConfig:
@@ -328,12 +328,9 @@ def run(
 
     Runs with OpenBLAS on one thread, like a matrix cell, so its bytes do not depend
     on the machine's core count and equal those of the same matrix cell."""
-    dataset, removed, spec, train_set, test_set, moved_ids = _prepare(config, raw)
+    dataset, extras, spec, train_set, test_set = _prepare(config, raw)
     truth = test_set.labels_array()
     files, traces = {}, {}
-    extras: dict = {"removed_constant_series": list(removed)}
-    if moved_ids:
-        extras["target_train_ids"] = list(moved_ids)
     cfg = config.train
 
     if config.method == "rf":
@@ -505,7 +502,7 @@ def _cmd_run(args, settings, out_dir) -> None:
 
 def _cmd_pretrain(args, settings, out_dir) -> None:
     config = settings_to_runconfig(settings, method="ssl", aug=settings["aug"] or "aug1")
-    dataset, _, spec, train_set, test_set, _ = _prepare(config)
+    dataset, _, spec, train_set, test_set = _prepare(config)
     state, trace = _pretrain(config, dataset, train_set, test_set)
     files: dict[str, str] = {}
     _record(files, {}, "pretrain", "pretrained.json", state, trace)
@@ -518,7 +515,7 @@ def _cmd_pretrain(args, settings, out_dir) -> None:
 def _cmd_evaluate(args, settings, out_dir) -> None:
     """`finetune` (fine-tune the checkpoint first) and `eval`: predict the test split."""
     config = settings_to_runconfig(settings, method="tf")
-    dataset, _, spec, train_set, test_set, _ = _prepare(config)
+    dataset, extras, spec, train_set, test_set = _prepare(config)
     state = M.load_checkpoint(args.checkpoint)
     cfg = config.train
     x_test = test_set.time_major() / cfg.dn_scale
@@ -531,7 +528,7 @@ def _cmd_evaluate(args, settings, out_dir) -> None:
     else:
         pred = M.predict_batched(state, x_test, cfg.batch_size)
     report = E.build_report(spec.kind, tag, dataset, pred, test_set.labels_array(),
-                            seeds={"master": config.seed}, traces=traces)
+                            seeds={"master": config.seed}, traces=traces, extras=extras)
     files["report.json"] = report.to_json() + "\n"
     write_artifacts(out_dir, files)
     done = "finetuned" if args.command == "finetune" else f"eval {tag}"

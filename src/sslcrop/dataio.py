@@ -1,10 +1,12 @@
 """Dataset model, CSV ingestion and preprocessing for field-level band series.
 
 A sample is one field-year: a crop label (possibly absent) and a matrix of
-per-band reflectance digital numbers on a common time grid.  Preprocessing
-covers biweekly resampling of irregular observations, band selection,
-leading-step truncation, removal of flat (broken) series, normalization,
-and the four train/test scenario splits used throughout the experiments.
+per-band reflectance digital numbers on a common time grid; the CSV reader
+takes series already gridded.  Preprocessing covers band selection,
+leading-step truncation, removal of flat (broken) series, and the four
+train/test scenario splits used throughout the experiments.  Scaling to the
+encoder's input range is left to the training and evaluation code
+(`TrainConfig.dn_scale`).
 
 All operations are pure: datasets are immutable and every op returns a new
 one.
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,9 +31,6 @@ CANONICAL_BANDS = (
     "B01", "B02", "B03", "B04", "B05", "B06", "B07",
     "B08", "B8A", "B09", "B10", "B11", "B12",
 )
-
-#: Default biweekly grid: 14 day-offsets from early February through late August.
-DEFAULT_GRID = tuple(14 * i for i in range(14))
 
 
 class CropClass(enum.IntEnum):
@@ -64,10 +63,6 @@ CLASS_INDEX_MAPPING = {int(c): c.label for c in CropClass}
 
 class CsvFormatError(ValueError):
     """Malformed ingestion file; message carries the offending line number."""
-
-
-class InsufficientDataError(ValueError):
-    """Too few observations to resample a band."""
 
 
 @dataclass(frozen=True)
@@ -138,9 +133,6 @@ class Dataset:
 
     def subset(self, indices: Iterable[int]) -> "Dataset":
         return replace(self, samples=tuple(self.samples[i] for i in indices))
-
-    def labeled(self) -> "Dataset":
-        return replace(self, samples=tuple(s for s in self.samples if s.label is not None))
 
     def years(self) -> tuple[int, ...]:
         return tuple(sorted({s.year for s in self.samples}))
@@ -275,30 +267,6 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             writer.writerow(row)
 
 
-def resample_biweekly(
-    observations: Sequence[Sequence[tuple[float, float]]],
-    grid: Sequence[float] = DEFAULT_GRID,
-    band_ids: Sequence[str] | None = None,
-) -> np.ndarray:
-    """Linearly interpolate per-band (day_offset, value) points onto a grid.
-
-    Outside the observed day range the nearest observed value is held
-    constant rather than extrapolated.
-    """
-    grid_arr = np.asarray(grid, dtype=np.float64)
-    out = np.empty((len(observations), len(grid_arr)))
-    for i, obs in enumerate(observations):
-        name = band_ids[i] if band_ids is not None else f"band {i}"
-        if len(obs) < 2:
-            raise InsufficientDataError(f"{name}: need >= 2 observations, got {len(obs)}")
-        days = np.array([d for d, _ in obs], dtype=np.float64)
-        vals = np.array([v for _, v in obs], dtype=np.float64)
-        if not np.all(np.diff(days) > 0):
-            raise ValueError(f"{name}: day offsets must be strictly increasing")
-        out[i] = np.interp(grid_arr, days, vals)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # preprocessing
 
@@ -345,16 +313,6 @@ def drop_constant_series(d: Dataset) -> tuple[Dataset, tuple[str, ...]]:
         else:
             kept.append(s)
     return replace(d, samples=tuple(kept)), tuple(removed)
-
-
-def normalize(d: Dataset, scale: float = 10000.0) -> Dataset:
-    """Divide every reflectance value by `scale` (digital numbers -> ~[0, 1])."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    samples = tuple(
-        Sample(s.field_id, s.year, s.label, s.reflectance / scale) for s in d.samples
-    )
-    return replace(d, samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model as M
-from .dataio import CLASS_INDEX_MAPPING, Dataset, Sample
+from .dataio import CLASS_INDEX_MAPPING, Dataset
 from .model import ModelState
 from .tensor import Tensor
 
@@ -89,31 +89,17 @@ def embed_reference(state: ModelState, reference: Dataset, dn_scale: float = 100
     return ReferenceEmbeddings(_unit_rows(z), _unit_rows(p), labels)
 
 
-def contrastive_classify(
-    state: ModelState,
-    x1: Sample | np.ndarray,
-    reference: Dataset | ReferenceEmbeddings,
-    dn_scale: float = 10000.0,
-) -> tuple[int, dict[int, float]]:
-    """Class whose mean pairwise two-branch loss against x1 is minimal.
-
-    Returns (class index, per-class mean losses); ties take the lowest
-    class index.
-    """
-    ref = reference if isinstance(reference, ReferenceEmbeddings) else embed_reference(
-        state, reference, dn_scale
-    )
-    matrix = x1.reflectance if isinstance(x1, Sample) else np.asarray(x1)
-    preds, losses = contrastive_classify_batch(state, matrix.T[None, :, :] / dn_scale, ref)
-    return int(preds[0]), {c: float(v) for c, v in losses[0].items()}
-
-
 def contrastive_classify_batch(
     state: ModelState,
     batch: np.ndarray,
     ref: ReferenceEmbeddings,
 ) -> tuple[np.ndarray, list[dict[int, float]]]:
-    """Vectorised nearest-class evaluation of an already normalized batch."""
+    """Vectorised nearest-class evaluation of an already normalized batch.
+
+    Each row takes the class whose mean pairwise two-branch loss against the
+    reference is minimal, ties going to the lowest class index.  Returns (class
+    indices, each row's per-class mean losses).
+    """
     classes = sorted(set(int(c) for c in ref.labels))
     if not classes:
         raise ValueError("reference set holds no labeled samples")

@@ -40,15 +40,6 @@ class ForestConfig:
             raise ValueError("n_trees and min_leaf must be >= 1")
 
 
-def gini(counts: np.ndarray) -> float:
-    """Gini impurity of a class-count vector."""
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
-
-
 @dataclass
 class TreeNode:
     counts: np.ndarray                 # class counts of the node's samples

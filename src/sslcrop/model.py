@@ -22,7 +22,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Collection
 
@@ -41,13 +41,10 @@ class EncoderConfig:
     n_heads: int = 4
     n_layers: int = 3
     ff_dim: int = 256
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.dropout != 0.0:
-            raise ValueError("dropout is fixed at 0.0 (deterministic encoder)")
 
 
 @dataclass(frozen=True)
@@ -63,12 +60,11 @@ class SimSiamConfig:
 
 @dataclass
 class ModelState:
-    """All learnable tensors plus optimizer and normalization buffers."""
+    """All learnable tensors plus normalization buffers."""
 
     encoder: EncoderConfig
     simsiam: SimSiamConfig
     params: dict[str, Tensor]
-    momentum: dict[str, np.ndarray] = field(default_factory=dict)
     buffers: dict[str, np.ndarray] = field(default_factory=dict)  # BN running stats
     n_classes: int | None = None
     pos: np.ndarray | None = None  # sinusoidal table, derived from config
@@ -149,13 +145,11 @@ def attach_classifier(state: ModelState, n_classes: int, seed: int = 0) -> None:
     w, b = _init_linear(rng, state.encoder.d_model, n_classes)
     state.params["clf.w"] = Tensor(w, requires_grad=True)
     state.params["clf.b"] = Tensor(b, requires_grad=True)
-    state.momentum.pop("clf.w", None)
-    state.momentum.pop("clf.b", None)
     state.n_classes = n_classes
 
 
 def clone_state(state: ModelState) -> ModelState:
-    """Independent copy of parameters and buffers; momentum starts fresh."""
+    """Independent copy of parameters and buffers."""
     params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in state.params.items()}
     buffers = {k: v.copy() for k, v in state.buffers.items()}
     return ModelState(state.encoder, state.simsiam, params, buffers=buffers, n_classes=state.n_classes)
@@ -264,11 +258,6 @@ def simsiam_forward(
     return loss, z1.data, z2.data
 
 
-def simsiam_loss(state: ModelState, x1_batch, x2_batch, training: bool = True) -> Tensor:
-    """Symmetric stop-gradient loss; scalar in [-1, 1]."""
-    return simsiam_forward(state, x1_batch, x2_batch, training)[0]
-
-
 def direct_cosine_forward(
     state: ModelState, x1_batch, x2_batch, training: bool = True, encoder=encode_views
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -366,38 +355,47 @@ def checkpoint_text(state: ModelState) -> str:
         "simsiam": asdict(state.simsiam),
         "n_classes": state.n_classes,
         "params": {k: _encode_array(p.data) for k, p in state.params.items()},
-        "momentum": {k: _encode_array(v) for k, v in state.momentum.items()},
         "buffers": {k: _encode_array(v) for k, v in state.buffers.items()},
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def save_checkpoint(state: ModelState, path: str | Path) -> None:
-    Path(path).write_text(checkpoint_text(state), encoding="utf-8")
+def _config(path, doc: dict, section: str, cls):
+    """`doc[section]` as a `cls`; it must give every field of `cls` and no other key."""
+    given = doc.get(section, {})
+    names = {f.name for f in fields(cls)}
+    if set(given) != names:
+        raise ValueError(f"{path}: {section}: unknown keys {sorted(set(given) - names)}, "
+                         f"missing keys {sorted(names - set(given))}")
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {section}: {exc}") from None
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
+    """The model a checkpoint holds.  Older files' `momentum` section (no command
+    resumes training) and `encoder.dropout` (always 0.0) are ignored."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != _FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if doc.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    encoder = EncoderConfig(**doc["encoder"])
-    simsiam = SimSiamConfig(**doc["simsiam"])
+    doc.get("encoder", {}).pop("dropout", None)
+    encoder = _config(path, doc, "encoder", EncoderConfig)
+    simsiam = _config(path, doc, "simsiam", SimSiamConfig)
     params = {k: _decode_array(v) for k, v in doc["params"].items()}
-    momentum = {k: _decode_array(v) for k, v in doc["momentum"].items()}
     buffers = {k: _decode_array(v) for k, v in doc["buffers"].items()}
     # names and shapes must be what the configs build, so a bad entry fails
     # here and names its key instead of breaking a later forward pass
     fresh = init_model(encoder, simsiam, n_classes=doc["n_classes"])
-    want = {k: p.shape for k, p in fresh.params.items()}
-    for kind, got, expected in (("param", params, want), ("momentum", momentum, want),
+    for kind, got, expected in (("param", params, {k: p.shape for k, p in fresh.params.items()}),
                                 ("buffer", buffers, {k: b.shape for k, b in fresh.buffers.items()})):
-        for key in sorted(set(got) | (set() if kind == "momentum" else set(expected))):
+        for key in sorted(set(got) | set(expected)):
             if key not in got or got[key].shape != expected.get(key):
                 have = f"shape {got[key].shape}" if key in got else "missing"
                 raise ValueError(f"{path}: {kind} {key!r}: {have}, expected {expected.get(key, 'no such key')}")
     return ModelState(
         encoder, simsiam, {k: Tensor(v, requires_grad=True) for k, v in params.items()},
-        momentum=momentum, buffers=buffers, n_classes=doc["n_classes"],
+        buffers=buffers, n_classes=doc["n_classes"],
     )

@@ -22,12 +22,12 @@ into arrays they allocated themselves, which is how `_normalize` keeps its
 large temporaries few.
 
 Storage is always a row-major float64 ndarray.  Broadcasting is restricted
-to last-axis bias/gain addition, batched matmul and the positional table of
-`embed`, so every backward rule stays easy to audit.  The encoder's blocks are
-single nodes (`embed`, `attention`, `feed_forward`, and `linear` for a dense
-layer).  A node's backward rule closes over only the arrays it reads, so an
-intermediate such as the feed-forward pre-activation is not kept alive for the
-backward pass.  Each fused node computes and sums in the order of the separate
+to last-axis bias/gain addition and the positional table of `embed`, so every
+backward rule stays easy to audit.  The encoder's blocks are single nodes
+(`embed`, `attention`, `feed_forward`, and `linear` for a dense layer).  A
+node's backward rule closes over only the arrays it reads, so an intermediate
+such as the feed-forward pre-activation is not kept alive for the backward
+pass.  Each fused node computes and sums in the order of the separate
 nodes it replaces, so its results are bitwise theirs.
 """
 
@@ -44,7 +44,7 @@ class ShapeMismatch(ValueError):
 
 
 class GradientContractError(ValueError):
-    """Raised on misuse of backward / sgd_step (non-scalar root, bad keys)."""
+    """Raised on misuse of gradients / sgd_step (non-scalar root, bad keys)."""
 
 
 class Tensor:
@@ -86,36 +86,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over axes that numpy broadcast during the forward."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def _op(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return Tensor(data, _parents=parents, _backward=backward)
 
 
 # ---------------------------------------------------------------------------
 # primitives
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D or batched with matching/broadcastable leading dims."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeMismatch(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        return ga, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-
-    return _op(a.data @ b.data, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -132,17 +108,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     return _op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-D bias along the last axis (the only broadcast we allow)."""
-    if b.data.ndim != 1 or b.shape[0] != x.shape[-1]:
-        raise ShapeMismatch(f"bias shape {b.shape} does not match last axis of {x.shape}")
-
-    def backward(g):
-        return g, g.reshape(-1, g.shape[-1]).sum(axis=0)
-
-    return _op(x.data + b.data, (x, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -272,18 +237,6 @@ def relu(a: Tensor) -> Tensor:
     return _op(out, (a,), lambda g: (g * (out > 0.0),))  # out > 0 exactly where a > 0
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilised by per-row max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return _op(y, (a,), backward)
-
-
 def _normalize(a: Tensor, gain: Tensor, bias: Tensor, eps: float, axis: int):
     """Standardise along `axis`, then apply a per-feature (last axis) gain and bias."""
     d = a.shape[-1]
@@ -355,10 +308,6 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
         return (np.where(guarded, g / n, gx),)
 
     return _op(y, (a,), backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return _op(np.asarray(a.data.sum()), (a,), lambda g: (np.full(a.shape, float(g)),))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -475,12 +424,6 @@ def _backward_pass(root: Tensor, seed: np.ndarray | None = None) -> list[Tensor]
     return leaves
 
 
-def backward(root: Tensor) -> None:
-    """Set .grad to d(root)/d(leaf) on every leaf reachable from root; interior nodes
-    keep none, since the pass consumes the tape (a second call on root raises)."""
-    _backward_pass(root)
-
-
 def gradients(
     root: Tensor, params: Mapping[str, Tensor], grad: np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
@@ -488,7 +431,7 @@ def gradients(
 
     With `grad`, the root may have any shape and `grad`, of that shape, seeds it:
     the result is the vector-Jacobian product d(sum(root * grad))/d(p).  Consumes
-    the tape like `backward`, and leaves no gradient on any leaf.
+    the tape, and leaves no gradient on any leaf.
     """
     for p in params.values():
         p.grad = None

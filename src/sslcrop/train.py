@@ -1,6 +1,7 @@
 """Training loops: supervised classification, siamese pre-training, fine-tuning.
 
-All loops are plain mini-batch SGD with momentum and coupled weight decay,
+All loops are plain mini-batch SGD with momentum (buffers that start at zero
+and live for one call) and coupled weight decay,
 shuffled by a per-epoch stream derived from (seed, epoch), so two runs with
 the same config are bitwise identical.
 
@@ -124,6 +125,7 @@ def _supervised_epochs(
     trace = TrainTrace()
     # params outside `params` are never updated, so a view made once stays current
     view = M.constant_view(state, keep=params)
+    momentum: dict[str, np.ndarray] = {}
     for epoch in range(epochs):
         t0 = time.perf_counter()
         order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(n)
@@ -131,7 +133,7 @@ def _supervised_epochs(
         for idx in _batches(n, cfg.batch_size, order):
             loss = T.cross_entropy(M.classify(view, X[idx]), y0[idx])
             grads = T.gradients(loss, params)
-            T.sgd_step(params, state.momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
+            T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
             total += loss.item() * len(idx)
         trace.losses.append(total / n)
         trace.seconds.append(time.perf_counter() - t0)
@@ -243,6 +245,7 @@ def pretrain(
     n = len(pool)
     floor = cfg.collapse_threshold_factor / math.sqrt(simsiam.head_out)
     trace = TrainTrace(collapse=[])
+    momentum: dict[str, np.ndarray] = {}
     with blas.one_thread(), thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-view") as branch_pool:
         for epoch in range(cfg.epochs_pretrain):
             t0 = time.perf_counter()
@@ -254,7 +257,7 @@ def pretrain(
                 step = _Branches(branch_pool)
                 loss, z1, _ = forward(state, x1 / cfg.dn_scale, x2 / cfg.dn_scale, encoder=step.encode)
                 grads = step.gradients(loss, params)
-                T.sgd_step(params, state.momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
+                T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
                 total += loss.item() * len(idx)
                 z_parts.append(z1)
             trace.losses.append(total / n)

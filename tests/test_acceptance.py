@@ -89,7 +89,7 @@ class TestCriterion1GradientCorrectness:
             # two-branch loss: finite differences hold the stop-gradient
             # targets at their base values, which is what the loss defines
             sim_params = {**M.encoder_params(state), **M.head_params(state)}
-            sim_grads = T.gradients(M.simsiam_loss(state, x1, x2), sim_params)
+            sim_grads = T.gradients(M.simsiam_forward(state, x1, x2)[0], sim_params)
             z1 = M.project(state, M.encode(state, x1)).data.copy()
             z2 = M.project(state, M.encode(state, x2)).data.copy()
 
@@ -169,16 +169,17 @@ class TestCriterion4ContrastiveOracle:
             queries = make_dataset(n_per_class=4, years=(2017,), n_bands=4, n_steps=6, seed=4)
             dn = 10000.0
             assert len(queries) >= 20
-            for sample in queries.samples[:20]:
-                pred, _ = E.contrastive_classify(state, sample, reference, dn_scale=dn)
+            preds, _ = E.contrastive_classify_batch(state, queries.time_major()[:20] / dn,
+                                                    E.embed_reference(state, reference, dn))
+            for sample, pred in zip(queries.samples[:20], preds, strict=True):
                 per_class = {}
                 for ref_sample in reference.samples:
-                    loss = M.simsiam_loss(
+                    loss = M.simsiam_forward(
                         state,
                         sample.reflectance.T[None] / dn,
                         ref_sample.reflectance.T[None] / dn,
                         training=False,
-                    ).item()
+                    )[0].item()
                     per_class.setdefault(int(ref_sample.label), []).append(loss)
                 means = {c: float(np.mean(v)) for c, v in per_class.items()}
                 assert pred == min(means, key=lambda c: (means[c], c))

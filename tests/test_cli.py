@@ -16,7 +16,7 @@ from sslcrop import cli
 from sslcrop import evaluation as E
 from sslcrop import model as M
 from sslcrop.augment import AugmentationPolicy
-from sslcrop.cli import main, parse_config_file, run, run_matrix
+from sslcrop.cli import main, run, run_matrix
 from sslcrop.dataio import load_csv
 from sslcrop.forest import ForestConfig
 from sslcrop.model import EncoderConfig, SimSiamConfig
@@ -92,14 +92,14 @@ class TestConfigFile:
     def test_parse_and_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 9\nmethod = rf  # comment\n\n# full-line comment\nn_trees = 11\n")
-        entries = parse_config_file(cfg)
-        assert entries == {"seed": "9", "method": "rf", "n_trees": "11"}
+        entries = [(key, text) for key, text, _ in cli._config_entries(cfg)]
+        assert entries == [("seed", "9"), ("method", "rf"), ("n_trees", "11")]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         with pytest.raises(cli.ConfigError, match="bogus"):
-            parse_config_file(cfg)
+            list(cli._config_entries(cfg))
 
     def test_cli_flag_overrides_file(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -478,6 +478,10 @@ class TestStepsReproduceRun:
         for doc, expected in ((tuned_doc, run_doc), (contrastive_doc, run_doc["extras"]["contrastive"])):
             assert doc["overall_accuracy"] == expected["overall_accuracy"]
             assert doc["confusion_matrix"] == expected["confusion_matrix"]
+        assert run_doc["extras"]["target_train_ids"]  # e3 moves target-year samples into train
+        for doc in (tuned_doc, contrastive_doc):
+            for key in ("removed_constant_series", "target_train_ids"):
+                assert doc["extras"][key] == run_doc["extras"][key], key
 
     @pytest.mark.parametrize("method, aug, names", [
         ("rf", None, {"report.json"}),

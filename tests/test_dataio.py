@@ -6,14 +6,11 @@ from sslcrop.dataio import (
     CropClass,
     CsvFormatError,
     Dataset,
-    InsufficientDataError,
     Sample,
     ScenarioSpec,
     drop_constant_series,
     load_csv,
     make_split,
-    normalize,
-    resample_biweekly,
     select_bands,
     truncate_steps,
     write_csv,
@@ -106,49 +103,6 @@ class TestLoadCsv:
             assert np.array_equal(a.reflectance, b.reflectance)
 
 
-class TestResample:
-    def test_constant_series(self):
-        obs = [[(0.0, 7.0), (100.0, 7.0)]]
-        out = resample_biweekly(obs, grid=[14 * i for i in range(14)])
-        assert out.shape == (1, 14)
-        assert np.all(out == 7.0)
-
-    def test_linear_midpoint(self):
-        obs = [[(0.0, 0.0), (14.0, 1.0)]]
-        out = resample_biweekly(obs, grid=[7.0])
-        assert abs(out[0, 0] - 0.5) < 1e-15
-
-    def test_edge_hold(self):
-        obs = [[(10.0, 3.0), (20.0, 5.0)]]
-        out = resample_biweekly(obs, grid=[0.0, 30.0])
-        assert out[0].tolist() == [3.0, 5.0]
-
-    def test_against_segment_oracle(self):
-        rng = np.random.default_rng(4)
-        days = np.sort(rng.choice(np.arange(200.0), size=12, replace=False))
-        vals = rng.normal(size=12)
-        grid = np.linspace(0, 199, 14)
-        out = resample_biweekly([list(zip(days, vals))], grid)
-
-        def segment_interp(t):
-            if t <= days[0]:
-                return vals[0]
-            if t >= days[-1]:
-                return vals[-1]
-            k = np.searchsorted(days, t, side="right") - 1
-            if days[k] == t:
-                return vals[k]
-            w = (t - days[k]) / (days[k + 1] - days[k])
-            return vals[k] * (1 - w) + vals[k + 1] * w
-
-        expect = np.array([segment_interp(t) for t in grid])
-        assert np.abs(out[0] - expect).max() < 1e-12
-
-    def test_insufficient_observations_names_band(self):
-        with pytest.raises(InsufficientDataError, match="B07"):
-            resample_biweekly([[(0.0, 1.0)]], grid=[0.0], band_ids=["B07"])
-
-
 class TestBandAndStepOps:
     def test_paper_band_removal_keeps_nine(self):
         d = make_dataset(n_bands=13)
@@ -233,21 +187,9 @@ class TestDropConstantAndNormalize:
         assert len(out) == 7
         assert set(removed) == {"c2", "c5", "c8"}
 
-    def test_normalize_values(self):
-        d = Dataset((make_sample("a", 2016, CropClass.CORN, fill=7000.0),), CANONICAL_BANDS[:4], 6)
-        out = normalize(d)
-        assert np.all(out.samples[0].reflectance == 0.7)
-        assert normalize(d, 1.0).samples[0].reflectance[0, 0] == 7000.0
-
-    def test_normalize_round_trip(self):
-        d = make_dataset(seed=9)
-        back = normalize(normalize(d, 10000.0), 1 / 10000.0)
-        assert np.abs(back.samples[0].reflectance - d.samples[0].reflectance).max() < 1e-12
-
     def test_ops_do_not_mutate_input(self):
         d = make_dataset(seed=2)
         before = d.samples[0].reflectance.copy()
-        normalize(d)
         select_bands(d, {"B01"})
         truncate_steps(d, 2)
         drop_constant_series(d)

@@ -1,0 +1,30 @@
+"""No package code that only tests (or nothing) call: every public module-level
+function and class in `src/sslcrop` is referenced somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import sslcrop
+
+SRC = Path(sslcrop.__file__).parent
+
+# (module, name) of entry points called from outside the package by design.
+ENTRY_POINTS = {
+    ("cli", "main"),  # the `sslcrop` console script named in pyproject.toml
+}
+
+
+def test_every_public_name_is_referenced_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    definitions = [(module, node) for module, tree in trees.items() for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    assert ENTRY_POINTS <= {(module, node.name) for module, node in definitions}
+    references = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))]
+    unreferenced = set()
+    for module, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}  # a recursive call is no use
+        if not any(name == definition.name and ref not in inside for name, ref in references):
+            unreferenced.add((module, definition.name))
+    assert unreferenced <= ENTRY_POINTS, sorted(unreferenced - ENTRY_POINTS)

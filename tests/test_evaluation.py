@@ -76,8 +76,9 @@ class TestContrastiveClassify:
             p_hat=np.stack([others[0], p_hat, others[1]]),
             labels=np.array([1, 2, 3]),
         )
-        pred, losses = E.contrastive_classify(state, query, ref)
-        assert pred == 2
+        preds, tables = E.contrastive_classify_batch(state, query.reflectance.T[None] / 10000.0, ref)
+        losses = tables[0]
+        assert preds.tolist() == [2]
         assert losses[2] < losses[1] and losses[2] < losses[3]
 
     def test_single_class_reference(self):
@@ -87,26 +88,27 @@ class TestContrastiveClassify:
             tuple(s for s in pool.samples if s.label is CropClass.CORN),
             pool.band_ids, pool.n_steps,
         )
-        x1 = pool.samples[-1]  # a potato sample
-        pred, losses = E.contrastive_classify(state, x1, corn_only)
-        assert pred == 1
-        assert set(losses) == {1}
+        x1 = pool.time_major()[-1:] / 10000.0  # a potato sample
+        preds, tables = E.contrastive_classify_batch(state, x1, E.embed_reference(state, corn_only))
+        assert preds.tolist() == [1]
+        assert set(tables[0]) == {1}
 
     def test_agrees_with_brute_force_double_loop(self):
         state = tiny_state(seed=5, head_out=6)
         reference = make_dataset(n_per_class=5, years=(2016,), n_bands=3, n_steps=5, seed=3)
         queries = make_dataset(n_per_class=4, years=(2017,), n_bands=3, n_steps=5, seed=4)
         dn = 10000.0
-        for sample in queries.samples[:20]:
-            pred, _ = E.contrastive_classify(state, sample, reference, dn_scale=dn)
+        preds, _ = E.contrastive_classify_batch(state, queries.time_major()[:20] / dn,
+                                                E.embed_reference(state, reference, dn))
+        for sample, pred in zip(queries.samples[:20], preds, strict=True):
             per_class: dict[int, list[float]] = {}
             for ref_sample in reference.samples:
-                loss = M.simsiam_loss(
+                loss = M.simsiam_forward(
                     state,
                     sample.reflectance.T[None] / dn,
                     ref_sample.reflectance.T[None] / dn,
                     training=False,
-                ).item()
+                )[0].item()
                 per_class.setdefault(int(ref_sample.label), []).append(loss)
             means = {c: float(np.mean(v)) for c, v in per_class.items()}
             brute = min(means, key=lambda c: (means[c], c))
@@ -119,9 +121,9 @@ class TestContrastiveClassify:
             tuple(np.random.default_rng(0).permutation(np.array(reference.samples, dtype=object))),
             reference.band_ids, reference.n_steps,
         )
-        query = make_dataset(n_per_class=1, years=(2017,), n_bands=3, n_steps=5, seed=6).samples[0]
-        a, la = E.contrastive_classify(state, query, reference)
-        b, lb = E.contrastive_classify(state, query, shuffled)
+        query = make_dataset(n_per_class=1, years=(2017,), n_bands=3, n_steps=5, seed=6).time_major()[:1]
+        (a,), (la,) = E.contrastive_classify_batch(state, query / 10000.0, E.embed_reference(state, reference))
+        (b,), (lb,) = E.contrastive_classify_batch(state, query / 10000.0, E.embed_reference(state, shuffled))
         assert a == b
         for c in la:
             assert abs(la[c] - lb[c]) < 1e-12
@@ -134,7 +136,7 @@ class TestContrastiveClassify:
             pool.band_ids, pool.n_steps,
         )
         with pytest.raises(ValueError):
-            E.contrastive_classify(state, pool.samples[0], stripped)
+            E.contrastive_classify_batch(state, pool.time_major()[:1] / 10000.0, E.embed_reference(state, stripped))
 
 
 class TestPca:

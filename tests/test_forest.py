@@ -5,7 +5,7 @@ import pytest
 
 from sslcrop import forest as forest_mod
 from sslcrop.dataio import CropClass, Dataset, Sample
-from sslcrop.forest import Forest, ForestConfig, TreeNode, gini, rf_fit, rf_predict
+from sslcrop.forest import Forest, ForestConfig, TreeNode, rf_fit, rf_predict
 
 
 def dataset_from_features(X, labels):
@@ -18,11 +18,17 @@ def dataset_from_features(X, labels):
 
 
 class TestGini:
+    """The impurity the split search scores a boundary by: each side's Gini, weighted by size."""
+
     def test_even_split(self):
-        assert gini(np.array([3.0, 3.0])) == 0.5
+        gini, thr, valid = forest_mod._block_splits(np.array([[1.0], [1.0], [2.0], [2.0]]),
+                                                    np.array([0, 1, 0, 1]), 2, 1)
+        assert (gini.tolist(), thr.tolist(), valid.tolist()) == ([0.5], [1.5], [True])
 
     def test_pure(self):
-        assert gini(np.array([6.0, 0.0])) == 0.0
+        gini, thr, _ = forest_mod._block_splits(np.array([[1.0], [1.0], [2.0], [2.0]]),
+                                                np.array([0, 0, 1, 1]), 2, 1)
+        assert (gini.tolist(), thr.tolist()) == ([0.0], [1.5])
 
 
 class TestFit:

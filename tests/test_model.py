@@ -121,8 +121,8 @@ class TestSimSiamLoss:
         state = tiny_state(seed=2)
         rng = np.random.default_rng(4)
         for _ in range(5):
-            loss = M.simsiam_loss(state, rng.normal(0.2, 0.2, (4, 5, 3)),
-                                  rng.normal(0.2, 0.2, (4, 5, 3))).item()
+            loss = M.simsiam_forward(state, rng.normal(0.2, 0.2, (4, 5, 3)),
+                                     rng.normal(0.2, 0.2, (4, 5, 3)))[0].item()
             assert -1.0 <= loss <= 1.0
 
     def test_gradients_match_frozen_target_oracle(self):
@@ -131,7 +131,7 @@ class TestSimSiamLoss:
         x1 = rng.normal(0.2, 0.1, (3, 5, 3))
         x2 = rng.normal(0.2, 0.1, (3, 5, 3))
         params = {**M.encoder_params(state), **M.head_params(state)}
-        grads = T.gradients(M.simsiam_loss(state, x1, x2), params)
+        grads = T.gradients(M.simsiam_forward(state, x1, x2)[0], params)
 
         z1 = M.project(state, M.encode(state, x1)).data.copy()
         z2 = M.project(state, M.encode(state, x2)).data.copy()
@@ -177,7 +177,7 @@ class TestSimSiamLoss:
         x1 = rng.normal(0.2, 0.1, (3, 5, 3))
         x2 = rng.normal(0.2, 0.1, (3, 5, 3))
         params = M.encoder_params(state)
-        with_sg = T.gradients(M.simsiam_loss(state, x1, x2), params)
+        with_sg = T.gradients(M.simsiam_forward(state, x1, x2)[0], params)
 
         z1 = M.project(state, M.encode(state, x1))
         z2 = M.project(state, M.encode(state, x2))
@@ -241,9 +241,8 @@ class TestClassify:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         state = tiny_state(seed=8, n_classes=6)
-        state.momentum["embed.w"] = np.random.default_rng(0).normal(size=state.params["embed.w"].shape)
         path = tmp_path / "model.json"
-        M.save_checkpoint(state, path)
+        path.write_text(M.checkpoint_text(state))
         back = M.load_checkpoint(path)
         assert back.encoder == state.encoder
         assert back.simsiam == state.simsiam
@@ -251,7 +250,6 @@ class TestCheckpoint:
         assert set(back.params) == set(state.params)
         for k in state.params:
             assert np.array_equal(back.params[k].data, state.params[k].data)
-        assert np.array_equal(back.momentum["embed.w"], state.momentum["embed.w"])
         for k in state.buffers:
             assert np.array_equal(back.buffers[k], state.buffers[k])
 
@@ -276,14 +274,49 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             M.load_checkpoint(path)
 
-    def test_bad_buffer_and_momentum_named_at_load(self, tmp_path):
-        for section, key in (("buffers", "proj_bn.mean"), ("momentum", "embed.w")):
-            doc = json.loads(M.checkpoint_text(tiny_state(seed=8)))
-            doc[section][key] = M._encode_array(np.zeros(2))
-            path = tmp_path / "bad.json"
-            path.write_text(json.dumps(doc))
-            with pytest.raises(ValueError, match=key):
-                M.load_checkpoint(path)
+    def test_bad_buffer_named_at_load(self, tmp_path):
+        doc = json.loads(M.checkpoint_text(tiny_state(seed=8)))
+        doc["buffers"]["proj_bn.mean"] = M._encode_array(np.zeros(2))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="proj_bn.mean"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("section, edit, message", [
+        ("encoder", {"bogus": 1}, r"unknown keys \['bogus'\], missing keys \[\]"),
+        ("encoder", {"d_model": None}, r"unknown keys \[\], missing keys \['d_model'\]"),
+        ("encoder", {"n_heads": 3}, "d_model 8 not divisible by n_heads 3"),
+        ("simsiam", {"bogus": 1}, r"unknown keys \['bogus'\], missing keys \[\]"),
+        ("simsiam", {"head_out": None}, r"unknown keys \[\], missing keys \['head_out'\]"),
+        ("simsiam", {"head_out": 0}, "head dimensions must be >= 1"),
+    ], ids=["encoder-unknown", "encoder-missing", "encoder-invalid",
+            "simsiam-unknown", "simsiam-missing", "simsiam-invalid"])
+    def test_bad_config_section_named_at_load(self, tmp_path, section, edit, message):
+        doc = json.loads(M.checkpoint_text(tiny_state(seed=8)))
+        for key, value in edit.items():
+            if value is None:
+                del doc[section][key]
+            else:
+                doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"bad.json: {section}: {message}"):
+            M.load_checkpoint(path)
+
+    def test_older_file_with_momentum_and_dropout_loads_the_same(self, tmp_path):
+        # the same version-1 layout as written before: a `momentum` section keyed like
+        # the params, and `encoder.dropout`, always 0.0
+        state = tiny_state(seed=8, n_classes=6)
+        doc = json.loads(M.checkpoint_text(state))
+        rng = np.random.default_rng(0)
+        doc["momentum"] = {k: M._encode_array(rng.normal(size=p.shape)) for k, p in state.params.items()}
+        doc["encoder"]["dropout"] = 0.0
+        assert doc["version"] == 1
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        back = M.load_checkpoint(path)
+        assert (back.encoder, back.simsiam, back.n_classes) == (state.encoder, state.simsiam, 6)
+        assert M.checkpoint_text(back) == M.checkpoint_text(state)  # params and buffers, bitwise
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "x.json"
@@ -381,10 +414,6 @@ class TestConfigs:
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ValueError):
             EncoderConfig(n_bands=3, n_steps=5, d_model=10, n_heads=4)
-
-    def test_dropout_fixed_at_zero(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(n_bands=3, n_steps=5, dropout=0.1)
 
     def test_paper_defaults(self):
         cfg = EncoderConfig(n_bands=13, n_steps=14)

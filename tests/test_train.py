@@ -143,7 +143,7 @@ def serial_pretrain(pool, policy, cfg, encoder, simsiam, objective):
     params = {**M.encoder_params(state), **heads}
     aug_rng = seeding.stream(cfg.seed, "augment")
     n = len(pool)
-    losses, collapse = [], []
+    losses, collapse, momentum = [], [], {}
     with blas.one_thread():
         for epoch in range(cfg.epochs_pretrain):
             order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(n)
@@ -153,7 +153,7 @@ def serial_pretrain(pool, policy, cfg, encoder, simsiam, objective):
                 x1, x2 = _make_pairs(pool, idx, policy, aug_rng)
                 loss, z1, _ = forward(state, x1 / cfg.dn_scale, x2 / cfg.dn_scale)
                 grads = T.gradients(loss, params)
-                T.sgd_step(params, state.momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
+                T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
                 total += loss.item() * len(idx)
                 z_parts.append(z1)
             losses.append(total / n)
@@ -185,7 +185,7 @@ class TestConcurrentBranches:
         assert len(encoded_in) == threads
         assert trace.losses == losses
         assert trace.collapse == collapse
-        assert M.checkpoint_text(state) == M.checkpoint_text(ref)  # params, momentum, BN buffers
+        assert M.checkpoint_text(state) == M.checkpoint_text(ref)  # params, BN buffers
 
     def test_threads_follow_the_cores_per_worker(self, monkeypatch):
         for cores, workers, threads in ((2, 1, 2), (2, 2, 1), (2, 3, 1), (1, 1, 1), (8, 2, 2),
@@ -251,7 +251,7 @@ class TestFinetune:
         M.attach_classifier(ref, n_classes=6, seed=cfg.seed)
         params = M.classifier_params(ref)
         X, y0 = d.time_major() / cfg.dn_scale, d.labels_array() - 1
-        losses = []
+        losses, momentum = [], {}
         for epoch in range(cfg.epochs_finetune):
             order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(len(X))
             total = 0.0
@@ -259,7 +259,7 @@ class TestFinetune:
                 idx = order[start:start + cfg.batch_size]
                 loss = T.cross_entropy(M.classify(ref, X[idx]), y0[idx])
                 grads = T.gradients(loss, params)
-                T.sgd_step(params, ref.momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
+                T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
                 total += loss.item() * len(idx)
             losses.append(total / len(X))
         assert trace.losses == losses
