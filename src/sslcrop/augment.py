@@ -49,9 +49,10 @@ class AugmentationPolicy:
             raise ValueError("noise_scale and cloud_dn must be non-negative")
 
 
-def _same_class_pair(
+def aug1_pair(
     pool: Dataset, crop: CropClass, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Two distinct, unmodified samples of `crop`, drawn uniformly."""
     idx = pool.class_indices.get(crop, [])
     if len(idx) < 2:
         raise InsufficientClassError(
@@ -59,13 +60,6 @@ def _same_class_pair(
         )
     i, j = rng.choice(len(idx), size=2, replace=False)
     return pool.samples[idx[i]].reflectance, pool.samples[idx[j]].reflectance
-
-
-def aug1_pair(
-    pool: Dataset, crop: CropClass, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two distinct, unmodified samples of `crop`, drawn uniformly."""
-    return _same_class_pair(pool, crop, rng)
 
 
 def aug2(
@@ -113,7 +107,7 @@ def aug3_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Same-class pair with an independent cloud spike on each element."""
     policy = policy or AugmentationPolicy("aug3")
-    x1, x2 = _same_class_pair(pool, crop, rng)
+    x1, x2 = aug1_pair(pool, crop, rng)
     n_steps = x1.shape[1]
     if policy.spike_both:
         x1 = _spike(x1, int(rng.integers(n_steps)), policy.cloud_dn)

@@ -315,15 +315,14 @@ def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set:
     return pretrain(pool, policy, config.train, _encoder_config(config, dataset), config.simsiam)
 
 
-def _nearest_class(state, reference: Dataset, x_test, dn_scale: float):
+def _nearest_class(state, reference: Dataset, x_test, cfg: TrainConfig):
     """Contrastive predictions: each test series takes the class nearest under the loss."""
-    return E.contrastive_classify_batch(state, x_test, E.embed_reference(state, reference, dn_scale))[0]
+    ref = E.embed_reference(state, reference, cfg.dn_scale, cfg.batch_size)
+    return E.contrastive_classify_batch(state, x_test, ref, cfg.batch_size)[0]
 
 
 @blas.one_thread()
-def run(
-    config: RunConfig, raw: Dataset | None = None
-) -> tuple[E.ExperimentReport, dict[str, str]]:
+def run(config: RunConfig, raw: Dataset | None = None) -> tuple[dict, dict[str, str]]:
     """Execute one scenario on `raw` (loaded if None); returns (report, artifact texts).
 
     Runs with OpenBLAS on one thread, like a matrix cell, so its bytes do not depend
@@ -337,19 +336,20 @@ def run(
         pred, tag = rf_predict(rf_fit(train_set, config.forest), test_set), "RF"
     elif config.method == "tf":
         state, trace = train_supervised(train_set, cfg, _encoder_config(config, dataset), config.simsiam)
-        pred, tag = M.predict_batched(state, test_set.time_major() / cfg.dn_scale, cfg.batch_size), "TF"
+        x_test = M.encoder_batch((s.reflectance for s in test_set.samples), cfg.dn_scale)
+        pred, tag = M.predict_classes(state, x_test, cfg.batch_size), "TF"
         _record(files, traces, "train", "model.json", state, trace)
     else:
         backbone, pre_trace = _pretrain(config, dataset, train_set, test_set)
-        x_test = test_set.time_major() / cfg.dn_scale
+        x_test = M.encoder_batch((s.reflectance for s in test_set.samples), cfg.dn_scale)
 
         def tune():
             tuned, ft_trace = finetune(backbone, train_set, cfg)
-            return tuned, ft_trace, M.predict_batched(tuned, x_test, cfg.batch_size)
+            return tuned, ft_trace, M.predict_classes(tuned, x_test, cfg.batch_size)
 
         def contrast():  # reads the backbone only, as fine-tuning does
             if config.contrastive_table:
-                return _nearest_class(backbone, train_set, x_test, cfg.dn_scale)
+                return _nearest_class(backbone, train_set, x_test, cfg)
 
         # the table runs beside fine-tuning, under the views' thread rule; one thread runs both serially
         threads = (cfg.branch_threads or branch_threads()) if config.contrastive_table else 1
@@ -363,7 +363,7 @@ def run(
 
     report = E.build_report(spec.kind, tag, dataset, pred, truth, seeds={"master": config.seed},
                             traces=traces, extras=extras)
-    files["report.json"] = report.to_json() + "\n"
+    files["report.json"] = E.report_text(report)
     return report, files
 
 
@@ -442,7 +442,7 @@ def run_matrix(
         try:
             report, files = run(replace(config, train=replace(config.train, branch_threads=threads)), raw)
             write_artifacts(cell_dir, files)
-            return repr(report.overall)
+            return repr(report["overall_accuracy"])
         except Exception as exc:  # cell failures must not kill the matrix
             print(f"[matrix] {label}/{scen} failed: {exc}", file=sys.stderr)
             write_artifacts(cell_dir, {"error.txt": traceback.format_exc()})
@@ -497,7 +497,7 @@ def _cmd_run(args, settings, out_dir) -> None:
         raise ConfigError("train handles rf/tf; use run (or pretrain+finetune) for ssl")
     report, files = run(settings_to_runconfig(settings))
     write_artifacts(out_dir, files)
-    print(f"{report.method} {report.scenario}: OA={report.overall:.4f} -> {out_dir}")
+    print(f"{report['method']} {report['scenario']}: OA={report['overall_accuracy']:.4f} -> {out_dir}")
 
 
 def _cmd_pretrain(args, settings, out_dir) -> None:
@@ -515,24 +515,28 @@ def _cmd_pretrain(args, settings, out_dir) -> None:
 def _cmd_evaluate(args, settings, out_dir) -> None:
     """`finetune` (fine-tune the checkpoint first) and `eval`: predict the test split."""
     config = settings_to_runconfig(settings, method="tf")
-    dataset, extras, spec, train_set, test_set = _prepare(config)
     state = M.load_checkpoint(args.checkpoint)
+    contrastive = getattr(args, "contrastive", False)
+    if args.command == "eval" and not contrastive and state.n_classes is None:
+        raise ConfigError(f"{args.checkpoint}: the model has no classification head; "
+                          "run finetune on it first, or pass --contrastive")
+    dataset, extras, spec, train_set, test_set = _prepare(config)
     cfg = config.train
-    x_test = test_set.time_major() / cfg.dn_scale
+    x_test = M.encoder_batch((s.reflectance for s in test_set.samples), cfg.dn_scale)
     files, traces, tag = {}, {}, "TF"
     if args.command == "finetune":
         state, trace = finetune(state, train_set, cfg)
         _record(files, traces, "finetune", "finetuned.json", state, trace)
-    if getattr(args, "contrastive", False):
-        pred, tag = _nearest_class(state, train_set, x_test, cfg.dn_scale), "contrastive"
+    if contrastive:
+        pred, tag = _nearest_class(state, train_set, x_test, cfg), "contrastive"
     else:
-        pred = M.predict_batched(state, x_test, cfg.batch_size)
+        pred = M.predict_classes(state, x_test, cfg.batch_size)
     report = E.build_report(spec.kind, tag, dataset, pred, test_set.labels_array(),
                             seeds={"master": config.seed}, traces=traces, extras=extras)
-    files["report.json"] = report.to_json() + "\n"
+    files["report.json"] = E.report_text(report)
     write_artifacts(out_dir, files)
     done = "finetuned" if args.command == "finetune" else f"eval {tag}"
-    print(f"{done} {spec.kind}: OA={report.overall:.4f} -> {out_dir}")
+    print(f"{done} {spec.kind}: OA={report['overall_accuracy']:.4f} -> {out_dir}")
 
 
 def _cmd_matrix(args, settings, out_dir) -> None:
@@ -547,7 +551,7 @@ def _cmd_export_embeddings(args, settings, out_dir) -> None:
     if args.source == "encoder":
         if not args.checkpoint:
             raise ConfigError("--source encoder needs --checkpoint")
-        X = dataset.time_major() / config.train.dn_scale
+        X = M.encoder_batch((s.reflectance for s in dataset.samples), config.train.dn_scale)
         emb = M.encode_batched(M.load_checkpoint(args.checkpoint), X, config.train.batch_size)
     else:
         emb = dataset.feature_matrix()

@@ -4,9 +4,8 @@ A sample is one field-year: a crop label (possibly absent) and a matrix of
 per-band reflectance digital numbers on a common time grid; the CSV reader
 takes series already gridded.  Preprocessing covers band selection,
 leading-step truncation, removal of flat (broken) series, and the four
-train/test scenario splits used throughout the experiments.  Scaling to the
-encoder's input range is left to the training and evaluation code
-(`TrainConfig.dn_scale`).
+train/test scenario splits used throughout the experiments.  Series become
+the encoder's input in one place, `model.encoder_batch`.
 
 All operations are pure: datasets are immutable and every op returns a new
 one.
@@ -59,6 +58,7 @@ _LABELS = {c.label: c for c in CropClass}
 
 #: index -> name mapping, embedded in reports so tables are self-describing.
 CLASS_INDEX_MAPPING = {int(c): c.label for c in CropClass}
+N_CLASSES = len(CropClass)
 
 
 class CsvFormatError(ValueError):
@@ -93,7 +93,6 @@ class Dataset:
     samples: tuple[Sample, ...]
     band_ids: tuple[str, ...]
     n_steps: int
-    step_origin_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
@@ -149,10 +148,6 @@ class Dataset:
     def feature_matrix(self) -> np.ndarray:
         """Row-major flattening of each reflectance matrix, (N, bands*steps)."""
         return np.stack([s.reflectance.reshape(-1) for s in self.samples])
-
-    def time_major(self) -> np.ndarray:
-        """Batch array shaped (N, n_steps, n_bands) for the encoder."""
-        return np.stack([s.reflectance.T for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -284,7 +279,7 @@ def select_bands(d: Dataset, keep: Iterable[str]) -> Dataset:
     samples = tuple(
         Sample(s.field_id, s.year, s.label, s.reflectance[rows, :]) for s in d.samples
     )
-    return Dataset(samples, new_bands, d.n_steps, d.step_origin_index)
+    return Dataset(samples, new_bands, d.n_steps)
 
 
 def truncate_steps(d: Dataset, drop_leading: int) -> Dataset:
@@ -297,9 +292,7 @@ def truncate_steps(d: Dataset, drop_leading: int) -> Dataset:
         Sample(s.field_id, s.year, s.label, s.reflectance[:, drop_leading:])
         for s in d.samples
     )
-    return Dataset(
-        samples, d.band_ids, d.n_steps - drop_leading, d.step_origin_index + drop_leading
-    )
+    return Dataset(samples, d.band_ids, d.n_steps - drop_leading)
 
 
 def drop_constant_series(d: Dataset) -> tuple[Dataset, tuple[str, ...]]:

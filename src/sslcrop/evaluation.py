@@ -1,4 +1,4 @@
-"""Metrics, the contrastive nearest-class classifier, and PCA exports.
+"""Metrics, the contrastive nearest-class classifier, PCA exports and the report.
 
 The contrastive classifier scores a sample against every labeled reference
 sample with the trained two-branch loss and assigns the class whose mean
@@ -8,13 +8,14 @@ pairwise loss is smallest; it needs no classification head at all.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import model as M
-from .dataio import CLASS_INDEX_MAPPING, Dataset
+from . import tensor as T
+from .dataio import CLASS_INDEX_MAPPING, N_CLASSES, Dataset
 from .model import ModelState
 from .tensor import Tensor
 
@@ -28,16 +29,16 @@ def overall_accuracy(pred: Sequence[int], truth: Sequence[int]) -> float:
     return float((pred == truth).mean())
 
 
-def confusion_matrix(truth: Sequence[int], pred: Sequence[int], n_classes: int = 6) -> np.ndarray:
+def confusion_matrix(truth: Sequence[int], pred: Sequence[int]) -> np.ndarray:
     """Counts with rows = true class, columns = predicted class (1-based labels)."""
     truth = np.asarray(truth)
     pred = np.asarray(pred)
     if truth.shape != pred.shape:
         raise ValueError(f"prediction/truth shapes disagree: {pred.shape} vs {truth.shape}")
     for name, arr in (("truth", truth), ("pred", pred)):
-        if arr.size and (arr.min() < 1 or arr.max() > n_classes):
-            raise ValueError(f"{name} labels must lie in 1..{n_classes}")
-    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
+        if arr.size and (arr.min() < 1 or arr.max() > N_CLASSES):
+            raise ValueError(f"{name} labels must lie in 1..{N_CLASSES}")
+    conf = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(conf, (truth - 1, pred - 1), 1)
     return conf
 
@@ -72,50 +73,45 @@ class ReferenceEmbeddings:
     labels: np.ndarray     # (N,), 1-based
 
 
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    return a / np.maximum(np.sqrt((a * a).sum(axis=1, keepdims=True)), 1e-12)
-
-
-def _heads_values(state: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_heads(state: ModelState, batch: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of the projections and predictions of an encoder batch, on no tape."""
     view = M.constant_view(state)
-    z = M.project(view, Tensor(M.encode_batched(state, batch)), training=False)
+    z = M.project(view, Tensor(M.encode_batched(state, batch, batch_size)), training=False)
     p = M.predict_head(view, z, training=False)
-    return z.data, p.data
+    return T.l2_normalize(z).data, T.l2_normalize(p).data
 
 
-def embed_reference(state: ModelState, reference: Dataset, dn_scale: float = 10000.0) -> ReferenceEmbeddings:
+def embed_reference(state: ModelState, reference: Dataset, dn_scale: float,
+                    batch_size: int) -> ReferenceEmbeddings:
+    """The labeled reference set's heads, encoded `batch_size` rows at a time."""
     labels = reference.labels_array()
-    z, p = _heads_values(state, reference.time_major() / dn_scale)
-    return ReferenceEmbeddings(_unit_rows(z), _unit_rows(p), labels)
+    batch = M.encoder_batch((s.reflectance for s in reference.samples), dn_scale)
+    return ReferenceEmbeddings(*_unit_heads(state, batch, batch_size), labels)
 
 
 def contrastive_classify_batch(
     state: ModelState,
     batch: np.ndarray,
     ref: ReferenceEmbeddings,
-) -> tuple[np.ndarray, list[dict[int, float]]]:
-    """Vectorised nearest-class evaluation of an already normalized batch.
+    batch_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised nearest-class evaluation of an encoder batch, encoded `batch_size`
+    rows at a time.
 
     Each row takes the class whose mean pairwise two-branch loss against the
     reference is minimal, ties going to the lowest class index.  Returns (class
-    indices, each row's per-class mean losses).
+    indices, the (N, classes) mean losses, a column per reference class in
+    ascending order).
     """
-    classes = sorted(set(int(c) for c in ref.labels))
-    if not classes:
+    classes = np.unique(ref.labels)
+    if not classes.size:
         raise ValueError("reference set holds no labeled samples")
-    z, p = _heads_values(state, batch)
-    z_hat, p_hat = _unit_rows(z), _unit_rows(p)
+    z_hat, p_hat = _unit_heads(state, batch, batch_size)
     # symmetric loss of (sample i, reference j): mean of the two crossed
     # negative cosines, identical in value to the training loss on one pair
     pairwise = -0.5 * (p_hat @ ref.z_hat.T) - 0.5 * (z_hat @ ref.p_hat.T)
-    preds = np.empty(len(batch), dtype=np.int64)
-    tables: list[dict[int, float]] = []
-    means = {c: pairwise[:, ref.labels == c].mean(axis=1) for c in classes}
-    for i in range(len(batch)):
-        table = {c: float(means[c][i]) for c in classes}
-        preds[i] = min(table, key=lambda c: (table[c], c))
-        tables.append(table)
-    return preds, tables
+    means = np.stack([pairwise[:, ref.labels == c].mean(axis=1) for c in classes], axis=1)
+    return classes[means.argmin(axis=1)], means
 
 
 # ---------------------------------------------------------------------------
@@ -179,49 +175,21 @@ def pca_project(
 # reports
 
 
-@dataclass
-class ExperimentReport:
-    """One run's results, shaped like the accuracy tables of the study."""
-
-    scenario: str
-    method: str
-    bands: tuple[str, ...]
-    n_steps: int
-    overall: float
-    confusion: list[list[int]]
-    per_class: list[float | None]
-    class_index_mapping: dict[int, str] = field(
-        default_factory=lambda: dict(CLASS_INDEX_MAPPING)
-    )
-    seeds: dict[str, int] = field(default_factory=dict)
-    traces: dict[str, dict] = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        doc = {
-            "scenario": self.scenario,
-            "method": self.method,
-            "preprocessing": {"bands": list(self.bands), "n_steps": self.n_steps},
-            "overall_accuracy": self.overall,
-            "confusion_matrix": self.confusion,
-            "per_class_accuracy": self.per_class,
-            "class_index_mapping": {str(k): v for k, v in self.class_index_mapping.items()},
-            "seeds": self.seeds,
-            "traces": self.traces,
-            **({"extras": self.extras} if self.extras else {}),
-        }
-        return json.dumps(doc, sort_keys=True, indent=1)
+def build_report(scenario: str, method: str, dataset: Dataset, pred: Sequence[int],
+                 truth: Sequence[int], *, seeds: dict, traces: dict, extras: dict) -> dict:
+    """One run's `report.json` document, shaped like the accuracy tables of the study."""
+    return {
+        "scenario": scenario,
+        "method": method,
+        "preprocessing": {"bands": list(dataset.band_ids), "n_steps": dataset.n_steps},
+        **scores(pred, truth),
+        "class_index_mapping": {str(k): v for k, v in CLASS_INDEX_MAPPING.items()},
+        "seeds": seeds,
+        "traces": traces,
+        "extras": extras,
+    }
 
 
-def build_report(
-    scenario: str,
-    method: str,
-    dataset_like: Dataset,
-    pred: Sequence[int],
-    truth: Sequence[int],
-    **kwargs,
-) -> ExperimentReport:
-    s = scores(pred, truth)
-    return ExperimentReport(scenario, method, dataset_like.band_ids, dataset_like.n_steps,
-                            s["overall_accuracy"], s["confusion_matrix"], s["per_class_accuracy"],
-                            **kwargs)
+def report_text(report: dict) -> str:
+    """`report.json`'s text: sorted keys, one-space indent, a final newline."""
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"

@@ -18,12 +18,12 @@ first, then to the smaller threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
-from .dataio import Dataset
+from .dataio import N_CLASSES, Dataset
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     root: TreeNode
-    n_features: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X), dtype=np.int64)
@@ -69,7 +68,6 @@ class Forest:
     trees: list[DecisionTree]
     n_features: int
     n_classes: int
-    config: ForestConfig = field(default_factory=ForestConfig)
 
 
 def _block_splits(xb: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
@@ -141,14 +139,13 @@ def rf_fit(train: Dataset, cfg: ForestConfig = ForestConfig()) -> Forest:
         raise ValueError("cannot fit a forest on an empty dataset")
     X = train.feature_matrix()
     y = train.labels_array() - 1
-    n_classes = 6
     seqs = seeding.seed_sequence(cfg.seed, "forest").spawn(cfg.n_trees)
     trees = []
     for seq in seqs:
         rng = np.random.Generator(np.random.PCG64(seq))
         idx = rng.integers(0, len(X), len(X)) if cfg.bootstrap else np.arange(len(X))
-        trees.append(DecisionTree(_grow(X[idx], y[idx], cfg, n_classes, rng), X.shape[1]))
-    return Forest(trees, X.shape[1], n_classes, cfg)
+        trees.append(DecisionTree(_grow(X[idx], y[idx], cfg, N_CLASSES, rng)))
+    return Forest(trees, X.shape[1], N_CLASSES)
 
 
 def rf_predict(forest: Forest, samples: Dataset | np.ndarray) -> np.ndarray:

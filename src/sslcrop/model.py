@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -185,6 +185,12 @@ def _attention(x: Tensor, state: ModelState, layer: int) -> Tensor:
     return T.attention(x, *params, n_heads=state.encoder.n_heads)
 
 
+def encoder_batch(series: Iterable[np.ndarray], dn_scale: float) -> np.ndarray:
+    """The encoder's input: DN series (each n_bands x n_steps) as one
+    (N, n_steps, n_bands) batch divided by `dn_scale`."""
+    return np.stack([x.T for x in series]) / dn_scale
+
+
 def encode(state: ModelState, batch) -> Tensor:
     """Embed a normalized batch (B, n_steps, n_bands) into (B, d_model)."""
     x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=np.float64))
@@ -279,18 +285,21 @@ def collapse_metric(z_batch: np.ndarray) -> float:
     Healthy training keeps this near 1/sqrt(dim); a slide toward zero means
     the embeddings are collapsing onto a single direction.
     """
-    z = np.asarray(z_batch, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2:
+    z = Tensor(z_batch)
+    if z.data.ndim != 2 or z.shape[0] < 2:
         raise ValueError(f"need a (B>=2, dim) batch, got shape {z.shape}")
-    norms = np.maximum(np.sqrt((z * z).sum(axis=1, keepdims=True)), 1e-12)
-    return float((z / norms).std(axis=0).mean())
+    return float(T.l2_normalize(z).data.std(axis=0).mean())
+
+
+def _classifier(state: ModelState, emb: Tensor) -> Tensor:
+    if "clf.w" not in state.params:
+        raise ValueError("model has no classification head; attach one first")
+    return _linear(emb, state, "clf")
 
 
 def classify(state: ModelState, batch) -> Tensor:
     """Logits of the linear head over encoder embeddings, shape (B, n_classes)."""
-    if "clf.w" not in state.params:
-        raise ValueError("model has no classification head; attach one first")
-    return _linear(encode(state, batch), state, "clf")
+    return _classifier(state, encode(state, batch))
 
 
 def constant_view(state: ModelState, keep: Collection[str] = ()) -> ModelState:
@@ -311,21 +320,18 @@ def leaf_view(state: ModelState, names: Collection[str]) -> ModelState:
                                   for k, p in state.params.items()})
 
 
-def predict_classes(state: ModelState, batch) -> np.ndarray:
-    """Predicted class indices (1-based); argmax ties go to the lowest index."""
-    logits = classify(constant_view(state), batch).data
+def encode_batched(state: ModelState, X: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+    """Encoder embeddings (N, d_model) of an encoder batch, `batch_size` rows at a time
+    (None: in one pass), on no tape."""
+    view, step = constant_view(state), batch_size or len(X)
+    return np.concatenate([encode(view, X[i : i + step]).data for i in range(0, len(X), step)])
+
+
+def predict_classes(state: ModelState, X: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+    """Predicted class indices (1-based) of an encoder batch, encoded as by
+    `encode_batched`; argmax ties go to the lowest index."""
+    logits = _classifier(constant_view(state), Tensor(encode_batched(state, X, batch_size))).data
     return logits.argmax(axis=1) + 1
-
-
-def predict_batched(state: ModelState, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """`predict_classes` over a normalized (N, n_steps, n_bands) array, batch by batch."""
-    return np.concatenate([predict_classes(state, X[i : i + batch_size]) for i in range(0, len(X), batch_size)])
-
-
-def encode_batched(state: ModelState, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Encoder embeddings (N, d_model) of a normalized array, batch by batch, on no tape."""
-    view = constant_view(state)
-    return np.concatenate([encode(view, X[i : i + batch_size]).data for i in range(0, len(X), batch_size)])
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +387,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
         raise ValueError(f"{path}: not a model checkpoint")
     if doc.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
+    for section in ("params", "buffers", "n_classes"):
+        if section not in doc:
+            raise ValueError(f"{path}: {section}: missing")
     doc.get("encoder", {}).pop("dropout", None)
     encoder = _config(path, doc, "encoder", EncoderConfig)
     simsiam = _config(path, doc, "simsiam", SimSiamConfig)

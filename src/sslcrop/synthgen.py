@@ -11,30 +11,11 @@ spikes complete the picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import seeding
 from .dataio import CANONICAL_BANDS, CropClass, Dataset, Sample
-
-
-@dataclass(frozen=True)
-class PhenologyProfile:
-    """Double-logistic curve parameters for one (class, band) pair, in DN."""
-
-    baseline: float
-    amplitude: float
-    green_up: float     # step index of the rise midpoint
-    senescence: float   # step index of the fall midpoint
-    slope_up: float     # per-step logistic rate of the rise
-    slope_down: float   # per-step logistic rate of the fall
-
-    def __post_init__(self):
-        if self.baseline < 0 or self.amplitude < 0:
-            raise ValueError("baseline and amplitude must be non-negative")
-        if not self.green_up < self.senescence:
-            raise ValueError("green_up must precede senescence")
 
 
 @dataclass(frozen=True)
@@ -61,8 +42,10 @@ class SynthConfig:
             raise ValueError("cloud_prob must lie in [0, 1]")
 
 
-# Class-level season timing (step indices on the 14-step grid).  Winter
-# barley and winter wheat are deliberately close, the hard pair of the six.
+# Class-level season timing: the green-up and senescence midpoints (step
+# indices on the 14-step grid), then the per-step logistic rates of the rise
+# and the fall.  Winter barley and winter wheat are deliberately close, the
+# hard pair of the six.
 _CLASS_SEASONS = {
     CropClass.CORN: (6.0, 12.6, 1.6, 1.4),
     CropClass.WINTER_BARLEY: (1.6, 8.8, 1.5, 1.3),
@@ -108,47 +91,17 @@ _FINGERPRINT = {
 }
 
 
-def default_profiles(
-    bands: tuple[str, ...] = CANONICAL_BANDS,
-) -> dict[tuple[CropClass, str], PhenologyProfile]:
-    """The built-in profile table covering all six classes and given bands."""
-    profiles = {}
-    for crop in CropClass:
-        green_up, senescence, slope_up, slope_down = _CLASS_SEASONS[crop]
-        for band in bands:
-            amp = _CLASS_AMPLITUDE[crop] * _BAND_RESPONSE[band] * _FINGERPRINT.get((crop, band), 1.0)
-            profiles[(crop, band)] = PhenologyProfile(
-                baseline=_BAND_BASE[band],
-                amplitude=amp,
-                green_up=green_up,
-                senescence=senescence,
-                slope_up=slope_up,
-                slope_down=slope_down,
-            )
-    return profiles
-
-
-_PROFILE_FIELDS = ("baseline", "amplitude", "green_up", "senescence", "slope_up", "slope_down")
-
-
-def generate(
-    cfg: SynthConfig,
-    profiles: Mapping[tuple[CropClass, str], PhenologyProfile] | None = None,
-) -> Dataset:
+def generate(cfg: SynthConfig) -> Dataset:
     """Generate a labelled multi-year dataset; bitwise-deterministic per seed.
 
     Each sample draws its time and amplitude jitter, then its noise and cloud
     steps; the double-logistic curves of a (year, class) group's samples are
     then computed in one array expression."""
-    if profiles is None:
-        profiles = default_profiles(cfg.bands)
-    for crop in CropClass:
-        for band in cfg.bands:
-            if (crop, band) not in profiles:
-                raise ValueError(f"missing profile for ({crop.label}, {band})")
-    # per class, the six profile fields as (bands, 1) columns
-    table = {crop: [np.array([getattr(profiles[(crop, band)], f) for band in cfg.bands])[:, None]
-                    for f in _PROFILE_FIELDS] for crop in CropClass}
+    # per band, as (bands, 1) columns: the baseline, and each class's amplitude
+    baseline = np.array([_BAND_BASE[band] for band in cfg.bands])[:, None]
+    amplitude = {crop: np.array([_CLASS_AMPLITUDE[crop] * _BAND_RESPONSE[band]
+                                 * _FINGERPRINT.get((crop, band), 1.0) for band in cfg.bands])[:, None]
+                 for crop in CropClass}
 
     rng = seeding.stream(cfg.seed, "synth")
     year_shift = {y: rng.normal(0.0, cfg.year_effect_sd) for y in cfg.years}
@@ -171,10 +124,10 @@ def generate(
                 # noise_sd or cloud_prob leaves every other draw untouched.
                 noise[i] = rng.normal(0.0, cfg.noise_sd, shape)
                 cloudy[i] = rng.random(cfg.n_steps) < cfg.cloud_prob
-            baseline, amplitude, green_up, senescence, slope_up, slope_down = table[crop]
+            green_up, senescence, slope_up, slope_down = _CLASS_SEASONS[crop]
             rise = 1.0 / (1.0 + np.exp(-slope_up * (t - (green_up + shift))))
             fall = 1.0 / (1.0 + np.exp(-slope_down * (t - (senescence + shift))))
-            curve = baseline + amplitude * amp * (rise - fall)
+            curve = baseline + amplitude[crop] * amp * (rise - fall)
             values = np.maximum(curve + noise, 0.0) + cfg.cloud_dn * cloudy
             samples += [Sample(f"synth-{year}-c{int(crop)}-{i:03d}", year, crop, v)
                         for i, v in enumerate(values)]

@@ -28,7 +28,7 @@ from . import model as M
 from . import seeding
 from . import tensor as T
 from .augment import AugmentationPolicy, aug1_pair, aug2, aug3_pair
-from .dataio import Dataset
+from .dataio import N_CLASSES, Dataset
 from .model import EncoderConfig, ModelState, SimSiamConfig
 from .tensor import Tensor
 
@@ -120,7 +120,7 @@ def _supervised_epochs(
 ) -> tuple[ModelState, TrainTrace]:
     """Cross-entropy epochs on `data`, updating `params` of `state` in place."""
     y0 = data.labels_array() - 1  # raises on unlabeled samples
-    X = data.time_major() / cfg.dn_scale
+    X = M.encoder_batch((s.reflectance for s in data.samples), cfg.dn_scale)
     n = len(X)
     trace = TrainTrace()
     # params outside `params` are never updated, so a view made once stays current
@@ -148,7 +148,7 @@ def train_supervised(
 ) -> tuple[ModelState, TrainTrace]:
     """Train encoder + linear head from scratch with cross-entropy."""
     encoder = encoder or EncoderConfig(n_bands=train.n_bands, n_steps=train.n_steps)
-    state = M.init_model(encoder, simsiam or SimSiamConfig(), n_classes=6, seed=cfg.seed)
+    state = M.init_model(encoder, simsiam or SimSiamConfig(), n_classes=N_CLASSES, seed=cfg.seed)
     params = {**M.encoder_params(state), **M.classifier_params(state)}
     return _supervised_epochs(state, train, params, cfg, cfg.epochs_supervised)
 
@@ -158,7 +158,9 @@ def _make_pairs(
     indices: np.ndarray,
     policy: AugmentationPolicy,
     rng: np.random.Generator,
+    dn_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The two views' encoder batches of the pairs drawn for `indices`."""
     x1s, x2s = [], []
     for i in indices:
         sample = pool.samples[i]
@@ -168,9 +170,9 @@ def _make_pairs(
             x1, x2 = aug1_pair(pool, sample.label, rng)
         else:
             x1, x2 = aug3_pair(pool, sample.label, rng, policy)
-        x1s.append(x1.T)
-        x2s.append(x2.T)
-    return np.stack(x1s), np.stack(x2s)
+        x1s.append(x1)
+        x2s.append(x2)
+    return M.encoder_batch(x1s, dn_scale), M.encoder_batch(x2s, dn_scale)
 
 
 class _Branches:
@@ -253,9 +255,9 @@ def pretrain(
             total = 0.0
             z_parts = []
             for idx in _batches(n, cfg.batch_size, order):
-                x1, x2 = _make_pairs(pool, idx, policy, aug_rng)
+                x1, x2 = _make_pairs(pool, idx, policy, aug_rng, cfg.dn_scale)
                 step = _Branches(branch_pool)
-                loss, z1, _ = forward(state, x1 / cfg.dn_scale, x2 / cfg.dn_scale, encoder=step.encode)
+                loss, z1, _ = forward(state, x1, x2, encoder=step.encode)
                 grads = step.gradients(loss, params)
                 T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
                 total += loss.item() * len(idx)
@@ -280,7 +282,7 @@ def finetune(
     input state is never modified.
     """
     state = M.clone_state(backbone)
-    M.attach_classifier(state, n_classes=6, seed=cfg.seed)
+    M.attach_classifier(state, n_classes=N_CLASSES, seed=cfg.seed)
     if cfg.finetune_mode == "linear_probe":
         params = M.classifier_params(state)
     else:

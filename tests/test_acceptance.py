@@ -51,9 +51,9 @@ def criterion(number, label):
 
 
 def batched_predict(state, dataset, dn=10000.0, batch=256):
-    X = dataset.time_major() / dn
+    X = M.encoder_batch((s.reflectance for s in dataset.samples), dn)
     return np.concatenate(
-        [M.predict_classes(state, X[i : i + batch]) for i in range(0, len(X), batch)]
+        [M.predict_classes(state, X, batch)]
     )
 
 
@@ -169,8 +169,8 @@ class TestCriterion4ContrastiveOracle:
             queries = make_dataset(n_per_class=4, years=(2017,), n_bands=4, n_steps=6, seed=4)
             dn = 10000.0
             assert len(queries) >= 20
-            preds, _ = E.contrastive_classify_batch(state, queries.time_major()[:20] / dn,
-                                                    E.embed_reference(state, reference, dn))
+            preds, _ = E.contrastive_classify_batch(state, M.encoder_batch((s.reflectance for s in queries.samples[:20]), dn),
+                                                    E.embed_reference(state, reference, dn, 256), 256)
             for sample, pred in zip(queries.samples[:20], preds, strict=True):
                 per_class = {}
                 for ref_sample in reference.samples:

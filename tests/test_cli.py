@@ -7,7 +7,6 @@ import signal
 import threading
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,21 +212,22 @@ class TestSettingsTable:
 class TestRun:
     def test_rf_report_schema(self):
         report, files = run(tiny_runconfig(method="rf"))
-        assert report.method == "RF"
-        assert report.scenario == "e1"
-        assert 0.0 <= report.overall <= 1.0
-        assert np.array(report.confusion).shape == (6, 6)
-        assert len(report.per_class) == 6
+        assert report["method"] == "RF"
+        assert report["scenario"] == "e1"
+        assert 0.0 <= report["overall_accuracy"] <= 1.0
+        assert np.array(report["confusion_matrix"]).shape == (6, 6)
+        assert len(report["per_class_accuracy"]) == 6
         assert "report.json" in files
         doc = json.loads(files["report.json"])
+        assert doc == report
         assert doc["class_index_mapping"]["5"] == "winter wheat"
 
     def test_ssl_report_has_collapse_and_contrastive_table(self):
         report, files = run(tiny_runconfig(method="ssl", scenario="e2", aug="aug1"))
-        assert report.method == "SSL+Aug1"
-        assert "pretrain" in report.traces and "collapse" in report.traces["pretrain"]
-        assert "contrastive" in report.extras
-        table = report.extras["contrastive"]
+        assert report["method"] == "SSL+Aug1"
+        assert "pretrain" in report["traces"] and "collapse" in report["traces"]["pretrain"]
+        assert "contrastive" in report["extras"]
+        table = report["extras"]["contrastive"]
         assert len(table["per_class_accuracy"]) == 6
         assert {"pretrained.json", "finetuned.json", "pretrain_trace.csv",
                 "finetune_trace.csv", "report.json"} <= set(files)
@@ -343,7 +343,7 @@ class TestMatrix:
             pytest.skip("no OpenBLAS loaded")
 
         def reporting_run(config, raw=None):
-            return SimpleNamespace(overall=get()), {}
+            return {"overall_accuracy": get()}, {}
 
         monkeypatch.setattr(cli, "run", reporting_run)
         before = get()
@@ -429,7 +429,7 @@ class TestThreads:
 
     def test_matrix_workers_get_the_cores_per_worker(self, tmp_path, monkeypatch):
         def reporting_run(config, raw=None):
-            return SimpleNamespace(overall=config.train.branch_threads), {}
+            return {"overall_accuracy": config.train.branch_threads}, {}
 
         monkeypatch.setattr(cli, "run", reporting_run)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -593,6 +593,20 @@ class TestCommands:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "contrastive"
+
+    def test_eval_without_head_names_the_checkpoint_before_loading_data(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        checkpoint = tmp_path / "pretrained.json"
+        enc = EncoderConfig(n_bands=13, n_steps=14, d_model=8, n_heads=2, n_layers=1, ff_dim=16)
+        checkpoint.write_text(M.checkpoint_text(M.init_model(enc)))
+        loaded = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda config: loaded.append(config))
+        rc = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"sslcrop: error: {checkpoint}: the model has no classification head; "
+            "run finetune on it first, or pass --contrastive\n")
+        assert loaded == []
 
     def test_export_embeddings_raw(self, tmp_path):
         csv = tmp_path / "emb.csv"

@@ -134,7 +134,6 @@ class TestBandAndStepOps:
         d = make_dataset(n_steps=14)
         out = truncate_steps(d, 3)
         assert out.n_steps == 11
-        assert out.step_origin_index == 3
         assert np.array_equal(out.samples[0].reflectance, d.samples[0].reflectance[:, 3:])
 
     def test_truncate_zero_is_identity(self):

@@ -1,5 +1,6 @@
 """No package code that only tests (or nothing) call: every public module-level
-function and class in `src/sslcrop` is referenced somewhere in the package."""
+function and class in `src/sslcrop`, and every public method and property of its
+classes, is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -16,7 +17,9 @@ ENTRY_POINTS = {
 
 def test_every_public_name_is_referenced_in_the_package():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    definitions = [(module, node) for module, tree in trees.items() for node in tree.body
+    members = {module: [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+               for module, tree in trees.items()}
+    definitions = [(module, node) for module, tree in trees.items() for node in tree.body + members[module]
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
     assert ENTRY_POINTS <= {(module, node.name) for module, node in definitions}
     references = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))

@@ -60,8 +60,7 @@ class TestContrastiveClassify:
         # embeddings for the other classes, so class 2 must win
         state = tiny_state(seed=5, head_out=6)
         query = make_dataset(n_per_class=1, years=(2016,), n_bands=3, n_steps=5, seed=1).samples[0]
-        z, p = E._heads_values(state, query.reflectance.T[None] / 10000.0)
-        z_hat, p_hat = E._unit_rows(z)[0], E._unit_rows(p)[0]
+        z_hat, p_hat = (a[0] for a in E._unit_heads(state, query.reflectance.T[None] / 10000.0, 1))
         assert float(z_hat @ p_hat) > 0  # seed chosen so self-similarity is attractive
         basis = [z_hat, p_hat]
         others = []
@@ -76,10 +75,9 @@ class TestContrastiveClassify:
             p_hat=np.stack([others[0], p_hat, others[1]]),
             labels=np.array([1, 2, 3]),
         )
-        preds, tables = E.contrastive_classify_batch(state, query.reflectance.T[None] / 10000.0, ref)
-        losses = tables[0]
+        preds, losses = E.contrastive_classify_batch(state, query.reflectance.T[None] / 10000.0, ref, 1)
         assert preds.tolist() == [2]
-        assert losses[2] < losses[1] and losses[2] < losses[3]
+        assert losses[0, 1] < losses[0, 0] and losses[0, 1] < losses[0, 2]
 
     def test_single_class_reference(self):
         state = tiny_state(seed=4, head_out=6)
@@ -88,18 +86,30 @@ class TestContrastiveClassify:
             tuple(s for s in pool.samples if s.label is CropClass.CORN),
             pool.band_ids, pool.n_steps,
         )
-        x1 = pool.time_major()[-1:] / 10000.0  # a potato sample
-        preds, tables = E.contrastive_classify_batch(state, x1, E.embed_reference(state, corn_only))
+        x1 = M.encoder_batch([pool.samples[-1].reflectance], 10000.0)  # a potato sample
+        preds, losses = E.contrastive_classify_batch(state, x1, E.embed_reference(state, corn_only, 10000.0, 2), 2)
         assert preds.tolist() == [1]
-        assert set(tables[0]) == {1}
+        assert losses.shape == (1, 1)
+
+    def test_exact_tie_goes_to_the_lowest_class(self):
+        state = tiny_state(seed=3, head_out=6)
+        pool = make_dataset(n_per_class=1, years=(2016,), n_bands=3, n_steps=5, seed=7)
+        x = pool.samples[0].reflectance
+        reference = Dataset((Sample("r4", 2016, CropClass.SUGAR_BEET, x),
+                             Sample("r2", 2016, CropClass.WINTER_BARLEY, x)), pool.band_ids, pool.n_steps)
+        queries = M.encoder_batch((s.reflectance for s in pool.samples), 10000.0)
+        preds, losses = E.contrastive_classify_batch(
+            state, queries, E.embed_reference(state, reference, 10000.0, 2), 4)
+        assert np.array_equal(losses[:, 0], losses[:, 1])  # classes 2 and 4, identical series
+        assert preds.tolist() == [2] * len(pool)
 
     def test_agrees_with_brute_force_double_loop(self):
         state = tiny_state(seed=5, head_out=6)
         reference = make_dataset(n_per_class=5, years=(2016,), n_bands=3, n_steps=5, seed=3)
         queries = make_dataset(n_per_class=4, years=(2017,), n_bands=3, n_steps=5, seed=4)
         dn = 10000.0
-        preds, _ = E.contrastive_classify_batch(state, queries.time_major()[:20] / dn,
-                                                E.embed_reference(state, reference, dn))
+        preds, _ = E.contrastive_classify_batch(state, M.encoder_batch((s.reflectance for s in queries.samples[:20]), dn),
+                                                E.embed_reference(state, reference, dn, 7), 7)
         for sample, pred in zip(queries.samples[:20], preds, strict=True):
             per_class: dict[int, list[float]] = {}
             for ref_sample in reference.samples:
@@ -121,12 +131,12 @@ class TestContrastiveClassify:
             tuple(np.random.default_rng(0).permutation(np.array(reference.samples, dtype=object))),
             reference.band_ids, reference.n_steps,
         )
-        query = make_dataset(n_per_class=1, years=(2017,), n_bands=3, n_steps=5, seed=6).time_major()[:1]
-        (a,), (la,) = E.contrastive_classify_batch(state, query / 10000.0, E.embed_reference(state, reference))
-        (b,), (lb,) = E.contrastive_classify_batch(state, query / 10000.0, E.embed_reference(state, shuffled))
+        query = make_dataset(n_per_class=1, years=(2017,), n_bands=3, n_steps=5, seed=6).samples[0]
+        query = M.encoder_batch([query.reflectance], 10000.0)
+        (a,), (la,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, reference, 10000.0, 256), 256)
+        (b,), (lb,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, shuffled, 10000.0, 256), 256)
         assert a == b
-        for c in la:
-            assert abs(la[c] - lb[c]) < 1e-12
+        assert np.abs(la - lb).max() < 1e-12
 
     def test_unlabeled_reference_rejected(self):
         state = tiny_state(seed=1, head_out=6)
@@ -136,7 +146,7 @@ class TestContrastiveClassify:
             pool.band_ids, pool.n_steps,
         )
         with pytest.raises(ValueError):
-            E.contrastive_classify_batch(state, pool.time_major()[:1] / 10000.0, E.embed_reference(state, stripped))
+            E.embed_reference(state, stripped, 10000.0, 256)
 
 
 class TestPca:
@@ -198,18 +208,20 @@ class TestReport:
         truth = d.labels_array()
         pred = truth.copy()
         pred[0] = (pred[0] % 6) + 1
-        report = E.build_report("e1", "RF", d, pred, truth)
-        conf = np.array(report.confusion)
-        assert report.overall == conf.trace() / conf.sum()
+        report = E.build_report("e1", "RF", d, pred, truth, seeds={}, traces={}, extras={})
+        conf = np.array(report["confusion_matrix"])
+        assert report["overall_accuracy"] == conf.trace() / conf.sum()
 
     def test_json_round_trips_and_is_stable(self):
         d = make_dataset(n_per_class=2, years=(2016,))
         truth = d.labels_array()
-        report = E.build_report("e2", "TF", d, truth, truth, seeds={"master": 3})
-        doc = json.loads(report.to_json())
+        report = E.build_report("e2", "TF", d, truth, truth, seeds={"master": 3}, traces={}, extras={})
+        doc = json.loads(E.report_text(report))
+        assert doc == report
         assert doc["scenario"] == "e2"
         assert doc["method"] == "TF"
         assert doc["overall_accuracy"] == 1.0
         assert doc["class_index_mapping"]["2"] == "winter barley"
         assert doc["preprocessing"]["bands"] == list(d.band_ids)
-        assert report.to_json() == E.build_report("e2", "TF", d, truth, truth, seeds={"master": 3}).to_json()
+        again = E.build_report("e2", "TF", d, truth, truth, seeds={"master": 3}, traces={}, extras={})
+        assert E.report_text(report) == E.report_text(again)

@@ -94,8 +94,8 @@ class TestPredict:
         # two constructed leaf-only trees voting c1 and c3 respectively
         from sslcrop.forest import DecisionTree, TreeNode
 
-        t1 = DecisionTree(TreeNode(np.array([5.0, 0.0, 0.0, 0.0, 0.0, 0.0])), 1)
-        t3 = DecisionTree(TreeNode(np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])), 1)
+        t1 = DecisionTree(TreeNode(np.array([5.0, 0.0, 0.0, 0.0, 0.0, 0.0])))
+        t3 = DecisionTree(TreeNode(np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])))
         forest = Forest([t1, t3], 1, 6)
         assert rf_predict(forest, np.array([[0.5]]))[0] == 1
 

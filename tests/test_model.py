@@ -303,6 +303,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"bad.json: {section}: {message}"):
             M.load_checkpoint(path)
 
+    @pytest.mark.parametrize("section", ["params", "buffers", "n_classes"])
+    def test_missing_section_named_at_load(self, tmp_path, section):
+        doc = json.loads(M.checkpoint_text(tiny_state(seed=8)))
+        del doc[section]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"bad.json: {section}: missing"):
+            M.load_checkpoint(path)
+
     def test_older_file_with_momentum_and_dropout_loads_the_same(self, tmp_path):
         # the same version-1 layout as written before: a `momentum` section keyed like
         # the params, and `encoder.dropout`, always 0.0
@@ -346,7 +355,7 @@ class TestTapeFreeInference:
     def test_batched_helpers_match_one_pass(self):
         state = tiny_state(seed=2, n_classes=6)
         X = np.random.default_rng(4).normal(0.2, 0.1, (11, 5, 3))
-        assert np.array_equal(M.predict_batched(state, X, 4), M.predict_classes(state, X))
+        assert np.array_equal(M.predict_classes(state, X, 4), M.predict_classes(state, X))
         assert np.abs(M.encode_batched(state, X, 4) - M.encode(state, X).data).max() < 1e-12
 
 

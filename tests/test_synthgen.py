@@ -1,29 +1,11 @@
 import hashlib
-from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from sslcrop.dataio import CANONICAL_BANDS, CropClass, ScenarioSpec, make_split
+from sslcrop.dataio import CropClass, ScenarioSpec, make_split
 from sslcrop.evaluation import overall_accuracy
 from sslcrop.forest import ForestConfig, rf_fit, rf_predict
-from sslcrop.synthgen import PhenologyProfile, SynthConfig, default_profiles, generate
-
-
-class TestProfiles:
-    def test_default_table_covers_all_classes_and_bands(self):
-        profiles = default_profiles()
-        assert set(profiles) == {(c, b) for c in CropClass for b in CANONICAL_BANDS}
-
-    def test_green_up_precedes_senescence(self):
-        with pytest.raises(ValueError):
-            PhenologyProfile(100.0, 50.0, green_up=9.0, senescence=3.0, slope_up=1.0, slope_down=1.0)
-
-    def test_missing_profile_rejected(self):
-        profiles = default_profiles()
-        del profiles[(CropClass.CORN, "B01")]
-        with pytest.raises(ValueError, match="corn"):
-            generate(SynthConfig(n_per_class_per_year=1), profiles)
+from sslcrop.synthgen import SynthConfig, generate
 
 
 class TestGenerate:
@@ -93,16 +75,6 @@ def dataset_digest(dataset):
     return h.hexdigest()
 
 
-def per_band_profiles(bands):
-    """The default table with slopes, timing and baseline varied per band and class."""
-    out = {}
-    for (crop, band), p in default_profiles(bands).items():
-        j, c = bands.index(band), int(crop)
-        out[(crop, band)] = replace(p, slope_up=0.6 + 0.15 * j, slope_down=0.9 + 0.05 * c,
-                                    green_up=p.green_up + 0.1 * j, baseline=p.baseline + 10.0 * c)
-    return out
-
-
 class TestGolden:
     """Every field id and reflectance byte, as the per-sample, per-band loop made them."""
 
@@ -110,12 +82,11 @@ class TestGolden:
         digest = dataset_digest(generate(SynthConfig(seed=0)))
         assert digest == "d07c000b00546d9799faab7e3eb55a124641a7697f494f32a7527fea40e6ee05"
 
-    def test_custom_profiles_with_per_band_slopes(self):
-        bands = ("B02", "B04", "B05", "B08", "B11")
+    def test_band_subset_and_other_years(self):
         cfg = SynthConfig(n_per_class_per_year=7, years=(2019, 2020), divergent_year=2020,
-                          bands=bands, seed=3)
-        digest = dataset_digest(generate(cfg, per_band_profiles(bands)))
-        assert digest == "f9a72d85a6c11cb4fccfbcd762be4af919c91b9c8fda00585c20ebee97ccf650"
+                          bands=("B02", "B04", "B05", "B08", "B11"), seed=3)
+        digest = dataset_digest(generate(cfg))
+        assert digest == "02e88e6dc9417e0ea666e155f6e017322872e93f91be124e6cb6ad369cf84cb2"
 
 
 class TestSeparabilityOracle:

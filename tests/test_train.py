@@ -32,7 +32,7 @@ def two_blob_dataset(n_per_class=6, seed=0):
 
 
 def train_accuracy(state, dataset, dn_scale=10000.0):
-    pred = M.predict_classes(state, dataset.time_major() / dn_scale)
+    pred = M.predict_classes(state, M.encoder_batch((s.reflectance for s in dataset.samples), dn_scale))
     return (pred == dataset.labels_array()).mean()
 
 
@@ -47,7 +47,7 @@ class TestTrainSupervised:
     def test_initial_loss_matches_uniform_logit_oracle(self):
         d = make_dataset(n_per_class=8, years=(2016,), n_bands=4, n_steps=6, seed=1)
         state = M.init_model(TINY_ENC, SimSiamConfig(), n_classes=6, seed=0)
-        X = d.time_major() / 10000.0
+        X = M.encoder_batch((s.reflectance for s in d.samples), 10000.0)
         loss = T.cross_entropy(M.classify(state, X), d.labels_array() - 1).item()
         assert abs(loss - math.log(6)) < 0.2
 
@@ -150,8 +150,8 @@ def serial_pretrain(pool, policy, cfg, encoder, simsiam, objective):
             total, z_parts = 0.0, []
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                x1, x2 = _make_pairs(pool, idx, policy, aug_rng)
-                loss, z1, _ = forward(state, x1 / cfg.dn_scale, x2 / cfg.dn_scale)
+                x1, x2 = _make_pairs(pool, idx, policy, aug_rng, cfg.dn_scale)
+                loss, z1, _ = forward(state, x1, x2)
                 grads = T.gradients(loss, params)
                 T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
                 total += loss.item() * len(idx)
@@ -223,13 +223,13 @@ class TestFinetune:
         cfg_probe = TrainConfig(epochs_finetune=0, seed=6, finetune_mode="linear_probe")
         a, _ = finetune(backbone, d, cfg_full)
         b, _ = finetune(backbone, d, cfg_probe)
-        X = d.time_major() / 10000.0
+        X = M.encoder_batch((s.reflectance for s in d.samples), 10000.0)
         assert np.array_equal(M.classify(a, X).data, M.classify(b, X).data)
 
     def test_initial_loss_identical_for_both_modes(self):
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=12)
         backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=7)
-        X = d.time_major() / 10000.0
+        X = M.encoder_batch((s.reflectance for s in d.samples), 10000.0)
         y0 = d.labels_array() - 1
         losses = []
         for mode in ("full", "linear_probe"):
@@ -250,7 +250,7 @@ class TestFinetune:
         ref = M.clone_state(backbone)
         M.attach_classifier(ref, n_classes=6, seed=cfg.seed)
         params = M.classifier_params(ref)
-        X, y0 = d.time_major() / cfg.dn_scale, d.labels_array() - 1
+        X, y0 = M.encoder_batch((s.reflectance for s in d.samples), cfg.dn_scale), d.labels_array() - 1
         losses, momentum = [], {}
         for epoch in range(cfg.epochs_finetune):
             order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(len(X))
