@@ -272,10 +272,14 @@ def _preprocess(config: RunConfig, dataset: Dataset) -> tuple[Dataset, tuple[str
 
 
 def _prepare(config: RunConfig, raw: Dataset | None = None) -> tuple:
-    """Preprocess `raw` (loaded if None) and split it for the scenario: (dataset,
-    the report's extras, spec, train, test).  The extras name the removed series
-    and, if any, the target-year samples moved into train."""
-    dataset, removed = _preprocess(config, _load_dataset(config) if raw is None else raw)
+    """Preprocess `raw` (loaded if None) and `_split` it."""
+    return _split(config, *_preprocess(config, _load_dataset(config) if raw is None else raw))
+
+
+def _split(config: RunConfig, dataset: Dataset, removed: tuple[str, ...]) -> tuple:
+    """Split the preprocessed `dataset` for the scenario: (dataset, the report's
+    extras, spec, train, test).  The extras name the `removed` series and, if any,
+    the target-year samples moved into train."""
     target = config.target_year
     if target is None and config.scenario != "e1":
         if config.synth is not None and config.synth.divergent_year is not None:
@@ -294,6 +298,15 @@ def _encoder_config(config: RunConfig, dataset: Dataset) -> EncoderConfig:
     return EncoderConfig(
         n_bands=dataset.n_bands, n_steps=dataset.n_steps, **dict(config.encoder_overrides)
     )
+
+
+def _check_checkpoint(path, state, dataset: Dataset) -> None:
+    """Fail unless the checkpoint's encoder takes the prepared data's series."""
+    enc = state.encoder
+    if (enc.n_bands, enc.n_steps) != (dataset.n_bands, dataset.n_steps):
+        raise ConfigError(f"{path}: the encoder takes {enc.n_bands} bands x {enc.n_steps} steps, but the "
+                          f"prepared data has {dataset.n_bands} bands x {dataset.n_steps} steps; "
+                          "check --bands and --drop-leading")
 
 
 def _record(files: dict, traces: dict, phase: str, checkpoint_name: str, state, trace) -> None:
@@ -520,7 +533,9 @@ def _cmd_evaluate(args, settings, out_dir) -> None:
     if args.command == "eval" and not contrastive and state.n_classes is None:
         raise ConfigError(f"{args.checkpoint}: the model has no classification head; "
                           "run finetune on it first, or pass --contrastive")
-    dataset, extras, spec, train_set, test_set = _prepare(config)
+    dataset, removed = _preprocess(config, _load_dataset(config))
+    _check_checkpoint(args.checkpoint, state, dataset)
+    dataset, extras, spec, train_set, test_set = _split(config, dataset, removed)
     cfg = config.train
     x_test = M.encoder_batch((s.reflectance for s in test_set.samples), cfg.dn_scale)
     files, traces, tag = {}, {}, "TF"
@@ -551,8 +566,10 @@ def _cmd_export_embeddings(args, settings, out_dir) -> None:
     if args.source == "encoder":
         if not args.checkpoint:
             raise ConfigError("--source encoder needs --checkpoint")
+        state = M.load_checkpoint(args.checkpoint)
+        _check_checkpoint(args.checkpoint, state, dataset)
         X = M.encoder_batch((s.reflectance for s in dataset.samples), config.train.dn_scale)
-        emb = M.encode_batched(M.load_checkpoint(args.checkpoint), X, config.train.batch_size)
+        emb = M.encode_batched(state, X, config.train.batch_size)
     else:
         emb = dataset.feature_matrix()
     coords, ratios = E.pca_project(emb, k=2)

@@ -244,6 +244,8 @@ def load_csv(path: str | Path) -> Dataset:
                 )
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
+    if not samples:
+        raise CsvFormatError(f"{path}: line 2: no samples after the header")
     return Dataset(tuple(samples), bands, n_steps)
 
 

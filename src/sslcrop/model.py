@@ -11,10 +11,10 @@ branch), an optional linear classification head, and the collapse monitor
 that tracks the per-channel spread of the l2-normalized projections.
 
 The two views meet only at the heads, so the siamese forwards encode both
-views first (through a replaceable `encoder`; pre-training runs the two on
-their own `leaf_view`s in parallel threads) and then run the heads and the
-loss in a fixed order, which keeps the batch-norm running statistics
-updating with view 1, then view 2.
+views first (through a replaceable `encoder`; pre-training runs the two in
+parallel threads) and then run the heads and the loss in a fixed order,
+which keeps the batch-norm running statistics updating with view 1, then
+view 2.
 """
 
 from __future__ import annotations
@@ -309,14 +309,6 @@ def constant_view(state: ModelState, keep: Collection[str] = ()) -> ModelState:
     Forward passes on the view record tape only through `keep`: inference keeps no
     graph alive, and training a head alone tapes no encoder."""
     return replace(state, params={k: p if k in keep else Tensor(p.data)
-                                  for k, p in state.params.items()})
-
-
-def leaf_view(state: ModelState, names: Collection[str]) -> ModelState:
-    """The same model with fresh leaf tensors, sharing the params' arrays, for the
-    params in `names` (like `constant_view`, but taping): a backward pass through a
-    forward on the view leaves those grads on the view's tensors, not the state's."""
-    return replace(state, params={k: Tensor(p.data, requires_grad=True) if k in names else p
                                   for k, p in state.params.items()})
 
 

@@ -10,9 +10,10 @@ vector-Jacobian product: the siamese pre-training step back-propagates each
 view's encoder from its embedding's gradient this way).  A tape is single
 use: the pass releases each interior node's gradient, backward rule and
 parents as soon as it has propagated them, so the graph is freed while the
-pass runs, only leaves keep a gradient, and replaying a consumed tape
-raises `GradientContractError`.  `stop_gradient` inserts a node that
-backward passes treat as a constant, which is what the siamese
+pass runs, and replaying a consumed tape raises `GradientContractError`.
+Gradients live in the pass, never on a tensor, so two threads may run
+backward passes through graphs that share leaves.  `stop_gradient` inserts
+a node that backward passes treat as a constant, which is what the siamese
 pre-training loss needs.
 
 A backward rule never writes into the gradient it receives: that array may
@@ -50,7 +51,7 @@ class GradientContractError(ValueError):
 class Tensor:
     """A float64 ndarray plus the bookkeeping needed for reverse-mode AD."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(
         self,
@@ -61,7 +62,6 @@ class Tensor:
     ):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         # Parents are only kept when a gradient can actually flow.
         if self.requires_grad:
@@ -395,9 +395,9 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _backward_pass(root: Tensor, seed: np.ndarray | None = None) -> list[Tensor]:
+def _backward_pass(root: Tensor, seed: np.ndarray | None = None) -> dict[Tensor, np.ndarray]:
     """Propagate from root, seeded with `seed` (ones for a scalar root when None),
-    consuming the tape; returns the leaves it reached."""
+    consuming the tape; returns the gradient of each leaf it reached."""
     if seed is None:
         if root.size != 1:
             raise GradientContractError(f"backward root must be scalar, got shape {root.shape}; "
@@ -406,22 +406,22 @@ def _backward_pass(root: Tensor, seed: np.ndarray | None = None) -> list[Tensor]
     elif seed.shape != root.shape:
         raise GradientContractError(f"gradient seed of shape {seed.shape} for a root of shape {root.shape}")
     order = _toposort(root)
-    leaves = [node for node in order if node._backward is None]
-    for leaf in leaves:
-        leaf.grad = None
-    root.grad = seed
+    # keyed by the node itself (tensors hash by identity), so a leaf stays alive with its gradient
+    grads = {root: seed}
     while order:  # popping drops the list's reference, so a finished node is freed
         node = order.pop()
-        rule, grad, parents = node._backward, node.grad, node._parents
-        if rule is None or grad is None:
+        rule, parents = node._backward, node._parents
+        grad = None if rule is None else grads.pop(node, None)  # a leaf keeps its gradient
+        if grad is None:
             continue
-        node.grad, node._parents, node._backward = None, (), _spent
+        node._parents, node._backward = (), _spent
         for parent, g in zip(parents, rule(grad)):
             if g is None or not parent.requires_grad:
                 continue
             # grads are never mutated in place, so first-touch can alias g
-            parent.grad = g if parent.grad is None else parent.grad + g
-    return leaves
+            existing = grads.get(parent)
+            grads[parent] = g if existing is None else existing + g
+    return grads
 
 
 def gradients(
@@ -431,15 +431,11 @@ def gradients(
 
     With `grad`, the root may have any shape and `grad`, of that shape, seeds it:
     the result is the vector-Jacobian product d(sum(root * grad))/d(p).  Consumes
-    the tape, and leaves no gradient on any leaf.
+    the tape.
     """
-    for p in params.values():
-        p.grad = None
-    leaves = _backward_pass(root) if grad is None else _backward_pass(root, np.asarray(grad, dtype=np.float64))
-    out = {name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape)) for name, p in params.items()}
-    for leaf in leaves:
-        leaf.grad = None
-    return out
+    grads = _backward_pass(root) if grad is None else _backward_pass(root, np.asarray(grad, dtype=np.float64))
+    # copies: `add` hands one array to both parents, and callers may sum in place
+    return {name: (grads[p].copy() if p in grads else np.zeros(p.shape)) for name, p in params.items()}
 
 
 def sgd_step(

@@ -1,15 +1,16 @@
 """Training loops: supervised classification, siamese pre-training, fine-tuning.
 
-All loops are plain mini-batch SGD with momentum (buffers that start at zero
-and live for one call) and coupled weight decay,
+Every phase runs the one SGD loop (`_sgd`): mini-batch SGD with momentum
+(buffers that start at zero and live for one call) and coupled weight decay,
 shuffled by a per-epoch stream derived from (seed, epoch), so two runs with
-the same config are bitwise identical.
+the same config are bitwise identical.  A phase supplies only its step; a
+batch loss that is not finite stops the run with `TrainingDiverged`.
 
-A pre-training step encodes its two views, and later back-propagates their
-encoders, in two threads (`_Branches`), with OpenBLAS on one thread: the
-gradients, and so every artifact, are bitwise those of one serial forward and
-backward, and do not depend on the BLAS thread count or on how many threads
-the step used.
+A pre-training step (`_siamese_step`) encodes its two views, and later
+back-propagates their encoders, in two threads, with OpenBLAS on one thread:
+the gradients, and so every artifact, are bitwise those of one serial forward
+and backward, and do not depend on the BLAS thread count or on how many
+threads the step used.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ class TrainConfig:
             raise ValueError("lr, batch_size and dn_scale must be positive")
         if self.branch_threads is not None and self.branch_threads < 1:
             raise ValueError(f"branch_threads must be at least 1, got {self.branch_threads}")
+        for name in ("epochs_supervised", "epochs_pretrain", "epochs_finetune", "collapse_warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -106,12 +110,40 @@ class TrainTrace:
         return "\n".join(lines) + "\n"
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+class TrainingDiverged(ArithmeticError):
+    """Raised when a batch loss is not finite; no later step could undo it."""
+
+
+def _sgd(phase: str, n: int, params: dict[str, Tensor], cfg: TrainConfig, epochs: int,
+         trace: TrainTrace, step) -> TrainTrace:
+    """`epochs` epochs of SGD on `params` over `n` samples, recorded in `trace`.
+
+    `step(idx)` gives the loss (a float) of the batch of sample indices `idx`,
+    d(loss)/d(params) and the batch's projections; when `trace.collapse` is a
+    list, each epoch's collapse metric over its projections is appended to it.
+    `phase` names the training phase in the `TrainingDiverged` message."""
+    momentum: dict[str, np.ndarray] = {}
+    for epoch in range(epochs):
+        t0 = time.perf_counter()
+        order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(n)
+        total, z_parts = 0.0, []
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
+            idx = order[start : start + cfg.batch_size]
+            loss, grads, z = step(idx)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"{phase} diverged: epoch {epoch}, batch {batch}: loss {loss!r}")
+            T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
+            total += loss * len(idx)
+            z_parts.append(z)
+        trace.losses.append(total / n)
+        if trace.collapse is not None:
+            trace.collapse.append(M.collapse_metric(np.concatenate(z_parts)))
+        trace.seconds.append(time.perf_counter() - t0)
+    return trace
 
 
 def _supervised_epochs(
+    phase: str,
     state: ModelState,
     data: Dataset,
     params: dict,
@@ -121,23 +153,14 @@ def _supervised_epochs(
     """Cross-entropy epochs on `data`, updating `params` of `state` in place."""
     y0 = data.labels_array() - 1  # raises on unlabeled samples
     X = M.encoder_batch((s.reflectance for s in data.samples), cfg.dn_scale)
-    n = len(X)
-    trace = TrainTrace()
     # params outside `params` are never updated, so a view made once stays current
     view = M.constant_view(state, keep=params)
-    momentum: dict[str, np.ndarray] = {}
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(n)
-        total = 0.0
-        for idx in _batches(n, cfg.batch_size, order):
-            loss = T.cross_entropy(M.classify(view, X[idx]), y0[idx])
-            grads = T.gradients(loss, params)
-            T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
-            total += loss.item() * len(idx)
-        trace.losses.append(total / n)
-        trace.seconds.append(time.perf_counter() - t0)
-    return state, trace
+
+    def step(idx):
+        loss = T.cross_entropy(M.classify(view, X[idx]), y0[idx])
+        return loss.item(), T.gradients(loss, params), None
+
+    return state, _sgd(phase, len(X), params, cfg, epochs, TrainTrace(), step)
 
 
 def train_supervised(
@@ -150,7 +173,7 @@ def train_supervised(
     encoder = encoder or EncoderConfig(n_bands=train.n_bands, n_steps=train.n_steps)
     state = M.init_model(encoder, simsiam or SimSiamConfig(), n_classes=N_CLASSES, seed=cfg.seed)
     params = {**M.encoder_params(state), **M.classifier_params(state)}
-    return _supervised_epochs(state, train, params, cfg, cfg.epochs_supervised)
+    return _supervised_epochs("train", state, train, params, cfg, cfg.epochs_supervised)
 
 
 def _make_pairs(
@@ -175,43 +198,36 @@ def _make_pairs(
     return M.encoder_batch(x1s, dn_scale), M.encoder_batch(x2s, dn_scale)
 
 
-class _Branches:
-    """The two encoder branches of one pre-training step, run `in_parallel` on `pool`.
+def _siamese_step(pool: concurrent.futures.Executor | None, forward, state: ModelState,
+                  params: dict[str, Tensor], x1_batch, x2_batch) -> tuple[float, dict, np.ndarray]:
+    """The loss, d(loss)/d(params) and view-1 projections of one pre-training step,
+    its two encoder branches run `in_parallel` on `pool`.
 
-    Each branch encodes its view on its own leaf tensors for the encoder params,
-    sharing their arrays, so no two threads write one `.grad`.  The heads and the
-    loss see each embedding as a leaf of their own; one backward through them gives
-    the head grads and both embedding grads, and each branch back-propagates its
-    encoder from its embedding's grad.  Every encoder param is used once per
-    branch, so its grad is g_view1 + g_view2, a two-term sum that does not depend on
-    order: the grads are bitwise those of one backward through the whole graph.
+    Both branches encode on the state's own tensors, through `forward`'s `encoder`.
+    The heads and the loss see each embedding as a leaf of their own; one backward
+    through them gives the head grads and both embedding grads, and each branch
+    back-propagates its encoder from its embedding's grad.  Every encoder param is
+    used once per branch, so its grad is g_view1 + g_view2, a two-term sum that does
+    not depend on order: the grads are bitwise those of one backward through the
+    whole graph.
     """
+    roots, leaves = [], []
 
-    def __init__(self, pool: concurrent.futures.Executor | None):
-        self.pool = pool
+    def encode(state, x1, x2):  # `forward`'s encoder, so the forward's time includes both branches
+        roots.extend(in_parallel(pool, lambda: M.encode(state, x1), lambda: M.encode(state, x2)))
+        leaves.extend(Tensor(e.data, requires_grad=True) for e in roots)
+        return leaves
 
-    def _both(self, fn, args1: tuple, args2: tuple) -> tuple:
-        return in_parallel(self.pool, lambda: fn(*args1), lambda: fn(*args2))
-
-    def encode(self, state: ModelState, x1_batch, x2_batch) -> tuple[Tensor, Tensor]:
-        """The `encoder` of the siamese forwards: both views' embeddings, as leaves."""
-        names = M.encoder_params(state)
-        self.views = (M.leaf_view(state, names), M.leaf_view(state, names))
-        self.roots = self._both(M.encode, (self.views[0], x1_batch), (self.views[1], x2_batch))
-        self.embeddings = tuple(Tensor(e.data, requires_grad=True) for e in self.roots)
-        return self.embeddings
-
-    def gradients(self, loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-        """d(loss)/d(p) for `params`, the state's encoder params and some of its heads'."""
-        view1, view2 = (M.encoder_params(view) for view in self.views)
-        heads = {k: p for k, p in params.items() if k not in view1}
-        e1, e2 = self.embeddings
-        grads = T.gradients(loss, {**heads, "<view 1>": e1, "<view 2>": e2})
-        g1, g2 = self._both(T.gradients, (self.roots[0], view1, grads.pop("<view 1>")),
-                            (self.roots[1], view2, grads.pop("<view 2>")))
-        for k in g1:  # in place, into the copies `gradients` returned: a new array per
-            g1[k] += g2[k]  # sum doubled a desk step's minor page faults (3.8k against 1.7k)
-        return {**grads, **g1}
+    loss, z1, _ = forward(state, x1_batch, x2_batch, encoder=encode)
+    encoder_params = M.encoder_params(state)
+    heads = {k: p for k, p in params.items() if k not in encoder_params}
+    grads = T.gradients(loss, {**heads, "<view 1>": leaves[0], "<view 2>": leaves[1]})
+    s1, s2 = grads.pop("<view 1>"), grads.pop("<view 2>")
+    g1, g2 = in_parallel(pool, lambda: T.gradients(roots[0], encoder_params, s1),
+                         lambda: T.gradients(roots[1], encoder_params, s2))
+    for k in g1:  # in place, into the copies `gradients` returned: a new array per
+        g1[k] += g2[k]  # sum doubled a desk step's minor page faults (3.8k against 1.7k)
+    return loss.item(), {**grads, **g1}, z1
 
 
 def pretrain(
@@ -244,30 +260,15 @@ def pretrain(
         forward = M.direct_cosine_forward
         params = {**M.encoder_params(state), **M.projector_params(state)}
     aug_rng = seeding.stream(cfg.seed, "augment")
-    n = len(pool)
-    floor = cfg.collapse_threshold_factor / math.sqrt(simsiam.head_out)
     trace = TrainTrace(collapse=[])
-    momentum: dict[str, np.ndarray] = {}
     with blas.one_thread(), thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-view") as branch_pool:
-        for epoch in range(cfg.epochs_pretrain):
-            t0 = time.perf_counter()
-            order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(n)
-            total = 0.0
-            z_parts = []
-            for idx in _batches(n, cfg.batch_size, order):
-                x1, x2 = _make_pairs(pool, idx, policy, aug_rng, cfg.dn_scale)
-                step = _Branches(branch_pool)
-                loss, z1, _ = forward(state, x1, x2, encoder=step.encode)
-                grads = step.gradients(loss, params)
-                T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
-                total += loss.item() * len(idx)
-                z_parts.append(z1)
-            trace.losses.append(total / n)
-            metric = M.collapse_metric(np.concatenate(z_parts))
-            trace.collapse.append(metric)
-            if epoch + 1 > cfg.collapse_warmup_epochs and metric < floor:
-                trace.collapse_warning = True
-            trace.seconds.append(time.perf_counter() - t0)
+        def step(idx):
+            x1, x2 = _make_pairs(pool, idx, policy, aug_rng, cfg.dn_scale)
+            return _siamese_step(branch_pool, forward, state, params, x1, x2)
+
+        _sgd("pretrain", len(pool), params, cfg, cfg.epochs_pretrain, trace, step)
+    floor = cfg.collapse_threshold_factor / math.sqrt(simsiam.head_out)
+    trace.collapse_warning = any(metric < floor for metric in trace.collapse[cfg.collapse_warmup_epochs:])
     return state, trace
 
 
@@ -287,4 +288,4 @@ def finetune(
         params = M.classifier_params(state)
     else:
         params = {**M.encoder_params(state), **M.classifier_params(state)}
-    return _supervised_epochs(state, labeled, params, cfg, cfg.epochs_finetune)
+    return _supervised_epochs("finetune", state, labeled, params, cfg, cfg.epochs_finetune)

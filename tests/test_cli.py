@@ -3,6 +3,7 @@ import ctypes
 import json
 import multiprocessing
 import os
+import re
 import signal
 import threading
 import time
@@ -279,6 +280,15 @@ class TestMatrix:
         assert error.startswith("Traceback")
         assert "ValueError" in error
         assert not (tmp_path / "rf_e1" / "error.txt").exists()
+
+    def test_diverging_cell_leaves_its_traceback(self, tmp_path):
+        settings = tiny_settings(methods="rf,tf", scenarios="e1", lr=1000.0, epochs_supervised=20)
+        row = run_matrix(settings, tmp_path, jobs=1).strip().split("\n")[3].split(",")
+        assert row == ["tf", "error"]
+        error = (tmp_path / "tf_e1" / "error.txt").read_text()
+        assert error.startswith("Traceback")
+        assert re.search(r"TrainingDiverged: train diverged: epoch \d+, batch \d+: loss (inf|nan)\n$", error)
+        assert not (tmp_path / "tf_e1" / "report.json").exists()
 
     def test_data_is_loaded_once(self, tmp_path, monkeypatch):
         csv = tmp_path / "data.csv"
@@ -607,6 +617,48 @@ class TestCommands:
             f"sslcrop: error: {checkpoint}: the model has no classification head; "
             "run finetune on it first, or pass --contrastive\n")
         assert loaded == []
+
+    @pytest.mark.parametrize("command, flags", [
+        (["eval", "--contrastive"], ["--bands", "B02,B04"]),
+        (["finetune"], ["--drop-leading", "2"]),
+        (["export-embeddings", "--source", "encoder", "--csv", "emb.csv"], ["--drop-leading", "2"]),
+    ])
+    def test_checkpoint_data_mismatch_fails_before_split_or_training(self, tmp_path, capsys, monkeypatch,
+                                                                      command, flags):
+        checkpoint = tmp_path / "pretrained.json"
+        enc = EncoderConfig(n_bands=13, n_steps=14, d_model=8, n_heads=2, n_layers=1, ff_dim=16)
+        checkpoint.write_text(M.checkpoint_text(M.init_model(enc)))
+        called = []
+        monkeypatch.setattr(cli, "make_split", lambda *args: called.append("split"))
+        monkeypatch.setattr(cli, "finetune", lambda *args: called.append("finetune"))
+        monkeypatch.chdir(tmp_path)
+        rc = main(command + ["--checkpoint", str(checkpoint), "--out", "out", "--synth-n", "2"] + flags)
+        assert rc == 1
+        bands, steps = (2, 14) if "--bands" in flags else (13, 12)
+        assert capsys.readouterr().err == (
+            f"sslcrop: error: {checkpoint}: the encoder takes 13 bands x 14 steps, but the prepared data "
+            f"has {bands} bands x {steps} steps; check --bands and --drop-leading\n")
+        assert called == [] and not (tmp_path / "out").exists() and not (tmp_path / "emb.csv").exists()
+
+    @pytest.mark.parametrize("command", [["export-embeddings", "--csv", "emb.csv"],
+                                         ["run", "--method", "rf", "--out", "out"]])
+    def test_header_only_csv_names_the_file_and_line_2(self, tmp_path, capsys, monkeypatch, command):
+        data = tmp_path / "empty.csv"
+        cli.write_csv(cli.generate(cli.settings_to_synthconfig(tiny_settings())).subset([]), data)
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--data", str(data)]) == 1
+        assert capsys.readouterr().err == f"sslcrop: error: {data}: line 2: no samples after the header\n"
+        assert not (tmp_path / "out").exists() and not (tmp_path / "emb.csv").exists()
+
+    def test_diverging_run_exits_1_without_a_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--method", "tf", "--synth-n", "3", "--d-model", "8", "--n-heads", "2",
+                   "--n-layers", "1", "--ff-dim", "16", "--batch-size", "16", "--epochs-supervised", "20",
+                   "--lr", "1e3", "--out", str(out)])
+        assert rc == 1
+        assert re.search(r"sslcrop: error: train diverged: epoch \d+, batch \d+: loss (inf|nan)\n$",
+                         capsys.readouterr().err)
+        assert not out.exists()
 
     def test_export_embeddings_raw(self, tmp_path):
         csv = tmp_path / "emb.csv"

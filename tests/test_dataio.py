@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("oops,year,label,B01_t00\n", encoding="utf-8")
         with pytest.raises(CsvFormatError, match="line 1"):
+            load_csv(path)
+
+    def test_header_only_names_the_file_and_line_2(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_wide_csv(path, [])
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(str(path))}: line 2: no samples"):
             load_csv(path)
 
     def test_non_numeric_cell_names_row(self, tmp_path):

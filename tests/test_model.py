@@ -348,7 +348,8 @@ class TestTapeFreeInference:
         assert all(view.params[k].data is p.data for k, p in state.params.items())
         assert np.array_equal(M.predict_classes(state, batch), taped.data.argmax(axis=1) + 1)
         for k, p in state.params.items():
-            assert np.array_equal(p.data, before[k]) and p.grad is None and p.requires_grad
+            assert np.array_equal(p.data, before[k]) and p.requires_grad
+        assert "grad" not in Tensor.__slots__
         for k, v in state.buffers.items():
             assert np.array_equal(v, buffers[k])
 

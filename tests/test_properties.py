@@ -102,7 +102,7 @@ samples = st.builds(
 
 
 class TestCsvRoundTrip:
-    @given(st.lists(samples, max_size=6))
+    @given(st.lists(samples, min_size=1, max_size=6))  # a header-only CSV is refused
     def test_write_load_write_is_byte_exact(self, rows):
         d = Dataset(tuple(Sample(*row) for row in rows), CANONICAL_BANDS[:2], 3)
         with tempfile.TemporaryDirectory() as tmp:

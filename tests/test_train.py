@@ -12,8 +12,8 @@ from sslcrop import tensor as T
 from sslcrop.augment import AugmentationPolicy
 from sslcrop.dataio import CANONICAL_BANDS, CropClass, Dataset, Sample
 from sslcrop.model import EncoderConfig, SimSiamConfig
-from sslcrop.train import (TrainConfig, TrainTrace, _make_pairs, branch_threads, finetune,
-                           pretrain, train_supervised)
+from sslcrop.train import (TrainConfig, TrainingDiverged, TrainTrace, _make_pairs, branch_threads,
+                           finetune, pretrain, train_supervised)
 from conftest import make_dataset, make_sample
 
 TINY_ENC = EncoderConfig(n_bands=4, n_steps=6, d_model=8, n_heads=2, n_layers=1, ff_dim=32)
@@ -284,6 +284,52 @@ class TestFinetune:
             trained = {**M.encoder_params(tuned), **trained}
         assert len(reached) == 6  # 12 samples in batches of 4, two epochs
         assert all(ids == {id(p) for p in trained.values()} for ids in reached)
+
+
+class TestOneLoop:
+    """Every phase runs the one SGD loop: its divergence guard and its config checks."""
+
+    @pytest.mark.parametrize("phase", ["train", "pretrain", "finetune"])
+    def test_non_finite_loss_stops_the_phase_before_its_update(self, phase, monkeypatch):
+        d = make_dataset(n_per_class=2, years=(2016,), n_bands=4, n_steps=6, seed=3)  # 12 samples
+        cfg = TrainConfig(batch_size=5, epochs_supervised=3, epochs_pretrain=3, epochs_finetune=3,
+                          seed=1, collapse_warmup_epochs=10**9)  # 3 batches an epoch
+        losses, updates = [], []
+
+        def poisoned(inner):  # the 5th batch loss (epoch 1, batch 1) reads NaN
+            def forward(*args, **kwargs):
+                out = inner(*args, **kwargs)
+                loss = out[0] if isinstance(out, tuple) else out
+                losses.append(loss)
+                if len(losses) == 5:
+                    loss.data = np.asarray(np.nan)
+                return out
+            return forward
+
+        def counting_step(*args, inner=T.sgd_step, **kwargs):
+            updates.append(1)
+            inner(*args, **kwargs)
+
+        monkeypatch.setattr(T, "sgd_step", counting_step)
+        if phase == "pretrain":
+            monkeypatch.setattr(M, "simsiam_forward", poisoned(M.simsiam_forward))
+        else:
+            monkeypatch.setattr(T, "cross_entropy", poisoned(T.cross_entropy))
+        with pytest.raises(TrainingDiverged, match=f"^{phase} diverged: epoch 1, batch 1: loss nan$"):
+            if phase == "train":
+                train_supervised(d, cfg, TINY_ENC)
+            elif phase == "pretrain":
+                pretrain(d, AugmentationPolicy("aug2"), cfg, TINY_ENC)
+            else:
+                finetune(M.init_model(TINY_ENC, SimSiamConfig(), seed=2), d, cfg)
+        assert len(updates) == 4
+
+    @pytest.mark.parametrize("name", ["epochs_supervised", "epochs_pretrain", "epochs_finetune",
+                                      "collapse_warmup_epochs"])
+    def test_negative_epoch_counts_are_rejected_naming_the_field(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must not be negative, got -1$"):
+            TrainConfig(**{name: -1})
+        assert getattr(TrainConfig(**{name: 0}), name) == 0
 
 
 class TestTrace:
