@@ -155,6 +155,15 @@ def clone_state(state: ModelState) -> ModelState:
     return ModelState(state.encoder, state.simsiam, params, buffers=buffers, n_classes=state.n_classes)
 
 
+def cast_state(state: ModelState, dtype) -> None:
+    """Store `state`'s params and positional table as `dtype`, in place.  The BN
+    running buffers stay float64: they are updated in place, so float32 batch
+    statistics widen into them exactly."""
+    for p in state.params.values():
+        p.data = p.data.astype(dtype)
+    state.pos = state.pos.astype(dtype)
+
+
 def encoder_params(state: ModelState) -> dict[str, Tensor]:
     return {k: v for k, v in state.params.items() if k.startswith(("embed", "enc"))}
 
@@ -192,8 +201,9 @@ def encoder_batch(series: Iterable[np.ndarray], dn_scale: float) -> np.ndarray:
 
 
 def encode(state: ModelState, batch) -> Tensor:
-    """Embed a normalized batch (B, n_steps, n_bands) into (B, d_model)."""
-    x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=np.float64))
+    """Embed a normalized batch (B, n_steps, n_bands) into (B, d_model), in the
+    dtype of the batch and the state (float32 in pre-training, float64 elsewhere)."""
+    x = batch if isinstance(batch, Tensor) else Tensor(batch)
     cfg = state.encoder
     if x.data.ndim != 3 or x.shape[1] != cfg.n_steps or x.shape[2] != cfg.n_bands:
         raise ValueError(

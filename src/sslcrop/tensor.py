@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32/float64 tensors with reverse-mode automatic differentiation.
 
 Every operation on a tensor that needs a gradient records its parents and
 local backward rule on the result, so the computation graph doubles as the
@@ -22,8 +22,12 @@ parent's first gradient is the array its child returned).  Rules write only
 into arrays they allocated themselves, which is how `_normalize` keeps its
 large temporaries few.
 
-Storage is always a row-major float64 ndarray.  Broadcasting is restricted
-to last-axis bias/gain addition and the positional table of `embed`, so every
+Storage is a row-major ndarray: float32 stays float32, everything else is
+float64.  Every array a node or the optimizer allocates takes its operands'
+dtype, so a float32 graph (pre-training) computes, back-propagates and
+updates in float32; one float64 array would widen the rest of the pass and
+take it off the float32 BLAS kernels.  Broadcasting is restricted to
+last-axis bias/gain addition and the positional table of `embed`, so every
 backward rule stays easy to audit.  The encoder's blocks are single nodes
 (`embed`, `attention`, `feed_forward`, and `linear` for a dense layer).  A
 node's backward rule closes over only the arrays it reads, so an intermediate
@@ -49,7 +53,8 @@ class GradientContractError(ValueError):
 
 
 class Tensor:
-    """A float64 ndarray plus the bookkeeping needed for reverse-mode AD."""
+    """A float32 or float64 ndarray plus the bookkeeping needed for reverse-mode AD:
+    a float32 array is kept as it is, anything else is stored as float64."""
 
     __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
@@ -60,8 +65,8 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None,
     ):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        arr = np.asarray(data)
+        self.data = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         # Parents are only kept when a gradient can actually flow.
         if self.requires_grad:
@@ -203,7 +208,7 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.empty((b * t, d))
+    ctx = np.empty((b * t, d), dtype=p.dtype)
     np.matmul(p, v, out=ctx.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3))
     out = ctx @ wo.data
     out += bo.data
@@ -212,7 +217,7 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, d)
         g_ctx = (g2 @ wo.data.T).reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
-        g_qkv = np.empty((b * t, 3 * d))
+        g_qkv = np.empty((b * t, 3 * d), dtype=g_ctx.dtype)
         gq, gk, gv = g_qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
         np.matmul(p.swapaxes(-1, -2), g_ctx, out=gv)
         gs = g_ctx @ v.swapaxes(-1, -2)  # softmax backward, then the 1/sqrt(dh) scale
@@ -312,7 +317,8 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     inv = 1.0 / a.size
-    return _op(np.asarray(a.data.mean()), (a,), lambda g: (np.full(a.shape, float(g) * inv),))
+    return _op(np.asarray(a.data.mean()), (a,),
+               lambda g: (np.full(a.shape, float(g) * inv, dtype=a.data.dtype),))
 
 
 def sum_last(a: Tensor) -> Tensor:
@@ -329,7 +335,7 @@ def max_axis(a: Tensor, axis: int) -> Tensor:
     idx = np.expand_dims(a.data.argmax(axis=axis), axis)
 
     def backward(g):
-        ga = np.zeros(a.shape)
+        ga = np.zeros(a.shape, dtype=a.data.dtype)
         np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis=axis)
         return (ga,)
 
@@ -433,9 +439,10 @@ def gradients(
     the result is the vector-Jacobian product d(sum(root * grad))/d(p).  Consumes
     the tape.
     """
-    grads = _backward_pass(root) if grad is None else _backward_pass(root, np.asarray(grad, dtype=np.float64))
+    grads = (_backward_pass(root) if grad is None
+             else _backward_pass(root, np.asarray(grad, dtype=root.data.dtype)))
     # copies: `add` hands one array to both parents, and callers may sum in place
-    return {name: (grads[p].copy() if p in grads else np.zeros(p.shape)) for name, p in params.items()}
+    return {name: (grads[p].copy() if p in grads else np.zeros_like(p.data)) for name, p in params.items()}
 
 
 def sgd_step(
@@ -462,7 +469,7 @@ def sgd_step(
         g = grads[name] + weight_decay * p.data
         buf = momentum_buffers.get(name)
         if buf is None:
-            buf = np.zeros(p.shape)
+            buf = np.zeros_like(p.data)
         buf = momentum * buf + g
         momentum_buffers[name] = buf
         p.data = p.data - lr * buf

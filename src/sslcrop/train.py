@@ -4,19 +4,23 @@ Every phase runs the one SGD loop (`_sgd`): mini-batch SGD with momentum
 (buffers that start at zero and live for one call) and coupled weight decay,
 shuffled by a per-epoch stream derived from (seed, epoch), so two runs with
 the same config are bitwise identical.  A phase supplies only its step; a
-batch loss that is not finite stops the run with `TrainingDiverged`.
+batch loss that is not finite stops the run with `TrainingDiverged`, and that
+is its one report: numpy's floating-point warnings are off inside the loop.
 
-A pre-training step (`_siamese_step`) encodes its two views, and later
-back-propagates their encoders, in two threads, with OpenBLAS on one thread:
-the gradients, and so every artifact, are bitwise those of one serial forward
-and backward, and do not depend on the BLAS thread count or on how many
-threads the step used.
+Pre-training computes in float32 and returns its model in float64 (exactly:
+every float32 value is a float64 value), so checkpoints, fine-tuning and
+inference see float64 as the other phases do.  A pre-training step
+(`_siamese_step`) encodes its two views, and later back-propagates their
+encoders, in two threads, with OpenBLAS on one thread: the gradients, and so
+every artifact, are bitwise those of one serial forward and backward, and do
+not depend on the BLAS thread count or on how many threads the step used.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import contextvars
 import math
 import os
 import time
@@ -56,10 +60,11 @@ def thread_pair(threads: int, name: str):
 def in_parallel(pool: concurrent.futures.Executor | None, first, second) -> tuple:
     """(first(), second()): in `pool`'s two threads while the caller waits, so that
     whatever the caller has open (a profiler's span, say) encloses both; one after
-    the other in the caller if `pool` is None."""
+    the other in the caller if `pool` is None.  Each thread runs in a copy of the
+    caller's context, so context-held state such as `np.errstate` holds there too."""
     if pool is None:
         return first(), second()
-    a, b = pool.submit(first), pool.submit(second)
+    a, b = (pool.submit(contextvars.copy_context().run, fn) for fn in (first, second))
     return a.result(), b.result()
 
 
@@ -114,6 +119,7 @@ class TrainingDiverged(ArithmeticError):
     """Raised when a batch loss is not finite; no later step could undo it."""
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sgd(phase: str, n: int, params: dict[str, Tensor], cfg: TrainConfig, epochs: int,
          trace: TrainTrace, step) -> TrainTrace:
     """`epochs` epochs of SGD on `params` over `n` samples, recorded in `trace`.
@@ -121,7 +127,9 @@ def _sgd(phase: str, n: int, params: dict[str, Tensor], cfg: TrainConfig, epochs
     `step(idx)` gives the loss (a float) of the batch of sample indices `idx`,
     d(loss)/d(params) and the batch's projections; when `trace.collapse` is a
     list, each epoch's collapse metric over its projections is appended to it.
-    `phase` names the training phase in the `TrainingDiverged` message."""
+    `phase` names the training phase in the `TrainingDiverged` message.  It runs
+    with numpy's overflow/invalid/divide warnings off, in the steps' threads too: a
+    blow-up shows as a non-finite loss, reported once by `TrainingDiverged`."""
     momentum: dict[str, np.ndarray] = {}
     for epoch in range(epochs):
         t0 = time.perf_counter()
@@ -183,7 +191,8 @@ def _make_pairs(
     rng: np.random.Generator,
     dn_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two views' encoder batches of the pairs drawn for `indices`."""
+    """The two views' encoder batches of the pairs drawn for `indices`, divided by
+    `dn_scale` in float64 and then rounded once to pre-training's float32."""
     x1s, x2s = [], []
     for i in indices:
         sample = pool.samples[i]
@@ -195,7 +204,7 @@ def _make_pairs(
             x1, x2 = aug3_pair(pool, sample.label, rng, policy)
         x1s.append(x1)
         x2s.append(x2)
-    return M.encoder_batch(x1s, dn_scale), M.encoder_batch(x2s, dn_scale)
+    return tuple(M.encoder_batch(xs, dn_scale).astype(np.float32) for xs in (x1s, x2s))
 
 
 def _siamese_step(pool: concurrent.futures.Executor | None, forward, state: ModelState,
@@ -244,7 +253,8 @@ def pretrain(
     warning flag if, past the warm-up epoch, it falls below
     collapse_threshold_factor / sqrt(head_out).  Runs with OpenBLAS on one
     thread and the two views in `cfg.branch_threads` threads; the caller's BLAS
-    thread count is restored and no thread outlives the call.
+    thread count is restored and no thread outlives the call.  Computes in
+    float32 and returns the model in float64.
     """
     if objective not in ("simsiam", "direct_cosine"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -253,6 +263,7 @@ def pretrain(
     encoder = encoder or EncoderConfig(n_bands=pool.n_bands, n_steps=pool.n_steps)
     simsiam = simsiam or SimSiamConfig()
     state = M.init_model(encoder, simsiam, seed=cfg.seed)
+    M.cast_state(state, np.float32)
     if objective == "simsiam":
         forward = M.simsiam_forward
         params = {**M.encoder_params(state), **M.head_params(state)}
@@ -269,6 +280,7 @@ def pretrain(
         _sgd("pretrain", len(pool), params, cfg, cfg.epochs_pretrain, trace, step)
     floor = cfg.collapse_threshold_factor / math.sqrt(simsiam.head_out)
     trace.collapse_warning = any(metric < floor for metric in trace.collapse[cfg.collapse_warmup_epochs:])
+    M.cast_state(state, np.float64)  # exact: checkpoints and every later phase stay float64
     return state, trace
 
 

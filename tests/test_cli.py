@@ -7,6 +7,7 @@ import re
 import signal
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -658,6 +659,21 @@ class TestCommands:
         assert rc == 1
         assert re.search(r"sslcrop: error: train diverged: epoch \d+, batch \d+: loss (inf|nan)\n$",
                          capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", [["tf"], ["ssl", "--aug", "aug1"]])
+    def test_diverging_run_reports_only_the_divergence(self, tmp_path, capsys, method):
+        # the ssl run diverges in pre-training, whose two views run in the branch threads
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--method", *method, "--synth-n", "3", "--d-model", "8", "--n-heads", "2",
+                       "--n-layers", "1", "--ff-dim", "16", "--batch-size", "16", "--epochs-supervised", "20",
+                       "--lr", "1e3", "--out", str(out)])
+        assert rc == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert re.fullmatch(r"sslcrop: error: (train|pretrain) diverged: "
+                            r"epoch \d+, batch \d+: loss (inf|nan)\n", capsys.readouterr().err)
         assert not out.exists()
 
     def test_export_embeddings_raw(self, tmp_path):

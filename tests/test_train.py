@@ -80,6 +80,7 @@ class TestPretrain:
         cfg = TrainConfig(epochs_pretrain=0, seed=5)
         state, trace = pretrain(d, AugmentationPolicy("aug1"), cfg, TINY_ENC)
         fresh = M.init_model(TINY_ENC, SimSiamConfig(), seed=5)
+        M.cast_state(fresh, np.float32)  # pre-training starts from the float32-rounded init
         for k in fresh.params:
             assert np.array_equal(state.params[k].data, fresh.params[k].data)
         assert trace.losses == [] and trace.collapse == []
@@ -134,8 +135,11 @@ class TestPretrain:
 
 def serial_pretrain(pool, policy, cfg, encoder, simsiam, objective):
     """The reference: each step one serial forward over both views, one `gradients`
-    over the whole graph and one `sgd_step`, on OpenBLAS's one thread."""
+    over the whole graph and one `sgd_step`, on OpenBLAS's one thread, in float32
+    (the state through `cast_state`, the batches from `_make_pairs`); the state is
+    returned in float64, as `pretrain` returns it."""
     state = M.init_model(encoder, simsiam, seed=cfg.seed)
+    M.cast_state(state, np.float32)
     if objective == "simsiam":
         forward, heads = M.simsiam_forward, M.head_params(state)
     else:
@@ -158,6 +162,7 @@ def serial_pretrain(pool, policy, cfg, encoder, simsiam, objective):
                 z_parts.append(z1)
             losses.append(total / n)
             collapse.append(M.collapse_metric(np.concatenate(z_parts)))
+    M.cast_state(state, np.float64)
     return state, losses, collapse
 
 
@@ -194,6 +199,62 @@ class TestConcurrentBranches:
             assert branch_threads(workers) == threads, (cores, workers)
         with pytest.raises(ValueError, match="branch_threads"):
             TrainConfig(branch_threads=0)
+
+
+class TestPrecision:
+    """Pre-training computes in float32 from end to end; every other phase in float64.
+    A single float64 allocation in a node would silently widen the rest of the pass."""
+
+    @staticmethod
+    def recorded_dtypes(monkeypatch, run):
+        """The dtypes of every node output, every array a backward rule returned, and
+        the grads, momentum buffers and updated params of every `sgd_step` in `run()`."""
+        seen = set()
+
+        def recording_op(data, parents, backward, inner=T._op):
+            seen.add(("node", np.asarray(data).dtype))
+
+            def recording_backward(g):
+                out = backward(g)
+                seen.update(("backward", a.dtype) for a in out if a is not None)
+                return out
+
+            return inner(data, parents, None if backward is None else recording_backward)
+
+        def recording_step(params, buffers, grads, *args, inner=T.sgd_step, **kwargs):
+            inner(params, buffers, grads, *args, **kwargs)
+            seen.update(("grad", g.dtype) for g in grads.values())
+            seen.update(("momentum", b.dtype) for b in buffers.values())
+            seen.update(("param", p.data.dtype) for p in params.values())
+
+        monkeypatch.setattr(T, "_op", recording_op)
+        monkeypatch.setattr(T, "sgd_step", recording_step)
+        result = run()
+        monkeypatch.undo()
+        return seen, result
+
+    @pytest.mark.parametrize("kind", ["aug1", "aug2"])
+    @pytest.mark.parametrize("objective", ["simsiam", "direct_cosine"])
+    def test_a_pretraining_step_is_float32_throughout(self, objective, kind, monkeypatch):
+        d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=16)  # 18 samples
+        cfg = TrainConfig(lr=0.01, batch_size=32, epochs_pretrain=1, seed=3, collapse_warmup_epochs=10**9)
+        policy = AugmentationPolicy(kind)
+        seen, (state, _) = self.recorded_dtypes(
+            monkeypatch, lambda: pretrain(d, policy, cfg, TINY_ENC, SimSiamConfig(), objective))
+        assert {role for role, _ in seen} == {"node", "backward", "grad", "momentum", "param"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}, sorted(map(str, seen))
+        for k, p in state.params.items():  # returned in float64, holding float32 values
+            assert p.data.dtype == np.float64, k
+            assert np.array_equal(p.data, p.data.astype(np.float32)), k
+        assert all(b.dtype == np.float64 for b in state.buffers.values())
+        assert state.pos.dtype == np.float64
+
+    def test_a_supervised_step_stays_float64(self, monkeypatch):
+        d = make_dataset(n_per_class=2, years=(2016,), n_bands=4, n_steps=6, seed=17)
+        cfg = TrainConfig(lr=0.01, batch_size=32, epochs_supervised=1, seed=3)
+        seen, _ = self.recorded_dtypes(monkeypatch, lambda: train_supervised(d, cfg, TINY_ENC))
+        assert {role for role, _ in seen} == {"node", "backward", "grad", "momentum", "param"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}, sorted(map(str, seen))
 
 
 class TestFinetune:
