@@ -165,7 +165,8 @@ class RunConfig:
             raise ConfigError(f"method=ssl needs an augmentation (aug1|aug2|aug3), got {self.aug!r}")
         if self.method != "ssl" and self.aug is not None:
             raise ConfigError("aug is only meaningful with method=ssl")
-        if self.scenario.lower() not in SCENARIOS:
+        object.__setattr__(self, "scenario", self.scenario.lower())  # as ScenarioSpec does: E2 is e2
+        if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
 
 
@@ -428,12 +429,11 @@ def run_matrix(
     Pre-training in a cell runs its two views on `branch_threads(workers)` threads.
     A worker that dies raises `RuntimeError` naming the cells it was running."""
     methods = _method_tokens(str(settings["methods"]))
-    scenarios = [s.strip() for s in str(settings["scenarios"]).split(",") if s.strip()]
-    for key, items in (("methods", [label for label, _, _ in methods]),
-                       ("scenarios", [s.lower() for s in scenarios])):
+    scenarios = [s.strip().lower() for s in str(settings["scenarios"]).split(",") if s.strip()]
+    for key, items in (("methods", [label for label, _, _ in methods]), ("scenarios", scenarios)):
         if not items:
             raise ConfigError(f"matrix needs at least one entry in {key}, got {settings[key]!r}")
-        if len(set(items)) < len(items):  # as ScenarioSpec does, e1 and E1 are one scenario
+        if len(set(items)) < len(items):  # scenarios compare in lower case: e1 and E1 are one
             raise ConfigError(f"matrix {key} must not repeat an entry, got {settings[key]!r}")
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")

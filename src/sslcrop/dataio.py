@@ -314,14 +314,26 @@ def drop_constant_series(d: Dataset) -> tuple[Dataset, tuple[str, ...]]:
 # scenario splits
 
 
-def _strata(d: Dataset, by_year: bool) -> dict[tuple, list[int]]:
+def _strata(d: Dataset, indices: Iterable[int], by_year: bool) -> dict[tuple, list[int]]:
+    """`indices` grouped by (year, class) or (class,)."""
     groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(d.samples):
+    for i in indices:
+        s = d.samples[i]
         if s.label is None:
             raise ValueError(f"sample {s.field_id} is unlabeled; stratified splits need labels")
         key = (s.year, int(s.label)) if by_year else (int(s.label),)
         groups.setdefault(key, []).append(i)
     return groups
+
+
+def _stratified_draw(groups: dict[tuple, list[int]], counts: dict[tuple, int], rng) -> list[int]:
+    """The first `counts[key]` of each stratum, shuffled one stratum at a time in key order."""
+    drawn: list[int] = []
+    for key in sorted(groups):
+        idx = np.array(groups[key])
+        rng.shuffle(idx)
+        drawn.extend(idx[: counts[key]].tolist())
+    return drawn
 
 
 def _allocate_train_counts(groups: dict[tuple, list[int]], fraction: float) -> dict[tuple, int]:
@@ -343,18 +355,10 @@ def make_split(d: Dataset, spec: ScenarioSpec) -> tuple[Dataset, Dataset, tuple[
     """Split a dataset into (train, test, ids of target-year samples in train)."""
     rng = seeding.stream(spec.seed, "split")
     if spec.kind == "e1":
-        groups = _strata(d, by_year=spec.e1_stratify == "year_class")
-        counts = _allocate_train_counts(groups, spec.train_fraction)
-        train_idx: list[int] = []
-        test_idx: list[int] = []
-        for key in sorted(groups):
-            idx = np.array(groups[key])
-            if len(idx) == 0:
-                raise ValueError(f"empty stratum {key}")
-            rng.shuffle(idx)
-            train_idx.extend(idx[: counts[key]].tolist())
-            test_idx.extend(idx[counts[key] :].tolist())
-        return d.subset(sorted(train_idx)), d.subset(sorted(test_idx)), ()
+        groups = _strata(d, range(len(d)), by_year=spec.e1_stratify == "year_class")
+        train = set(_stratified_draw(groups, _allocate_train_counts(groups, spec.train_fraction), rng))
+        test = (i for i in range(len(d)) if i not in train)
+        return d.subset(sorted(train)), d.subset(test), ()
 
     target = [i for i, s in enumerate(d.samples) if s.year == spec.target_year]
     source = [i for i, s in enumerate(d.samples) if s.year != spec.target_year]
@@ -365,22 +369,13 @@ def make_split(d: Dataset, spec: ScenarioSpec) -> tuple[Dataset, Dataset, tuple[
     if spec.kind == "e2" or spec.target_label_fraction == 0.0:
         return d.subset(source), d.subset(target), ()
 
-    by_class: dict[int, list[int]] = {}
-    for i in target:
-        s = d.samples[i]
-        if s.label is None:
-            raise ValueError(f"sample {s.field_id} is unlabeled; stratified splits need labels")
-        by_class.setdefault(int(s.label), []).append(i)
+    by_class = _strata(d, target, by_year=False)
     present = {int(s.label) for s in d.samples if s.label is not None}
     for c in sorted(present):
-        if c not in by_class:
+        if (c,) not in by_class:
             raise ValueError(f"target year has no samples of class {CropClass(c).label!r}")
-    moved: list[int] = []
-    for c in sorted(by_class):
-        idx = np.array(by_class[c])
-        rng.shuffle(idx)
-        k = max(1, math.floor(spec.target_label_fraction * len(idx)))
-        moved.extend(idx[:k].tolist())
+    counts = {key: max(1, math.floor(spec.target_label_fraction * len(v))) for key, v in by_class.items()}
+    moved = _stratified_draw(by_class, counts, rng)
     moved_set = set(moved)
     train = sorted(source + moved)
     test = sorted(i for i in target if i not in moved_set)

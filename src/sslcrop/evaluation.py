@@ -115,25 +115,16 @@ def contrastive_classify_batch(
 
 
 # ---------------------------------------------------------------------------
-# PCA via power iteration
+# PCA
 
 
-class PowerIterationError(RuntimeError):
-    def __init__(self, iterations: int):
-        super().__init__(f"power iteration did not converge within {iterations} iterations")
-        self.iterations = iterations
+def pca_project(embeddings: np.ndarray, k: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k principal components from one eigendecomposition of the covariance.
 
-
-def pca_project(
-    embeddings: np.ndarray,
-    k: int = 2,
-    tol: float = 1e-10,
-    max_iters: int = 10000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k principal components by power iteration with deflation.
-
-    Returns (N x k coordinates, explained-variance ratios).  Eigenvector
-    signs are fixed so the largest-magnitude entry is positive.
+    Returns (N x k coordinates, explained-variance ratios).  Eigenvector signs
+    are fixed so the largest-magnitude entry is positive.  A component past the
+    data's rank has coordinates and ratio zero up to rounding; one past its
+    width d has them exactly zero.
     """
     X = np.asarray(embeddings, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -141,33 +132,12 @@ def pca_project(
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / len(X)
     total = float(np.trace(cov))
-    d = cov.shape[0]
-    comps = np.zeros((d, k))
-    eigvals = np.zeros(k)
-    rng = np.random.Generator(np.random.PCG64(0))  # fixed: results must be reproducible
-    A = cov.copy()
-    for c in range(k):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for it in range(max_iters):
-            av = A @ v
-            lam = float(v @ av)
-            if lam <= max(total, 1.0) * 1e-14:
-                break  # (near-)zero eigenvalue: any unit vector is fine
-            v_new = av / np.linalg.norm(av)
-            if np.linalg.norm(v_new - v) < tol:
-                v = v_new
-                break
-            v = v_new
-        else:
-            raise PowerIterationError(max_iters)
-        if v[np.abs(v).argmax()] < 0:
-            v = -v
-        comps[:, c] = v
-        eigvals[c] = max(lam, 0.0)
-        A = A - lam * np.outer(v, v)
-    ratios = eigvals / total if total > 0 else np.zeros(k)
+    eigvals, vecs = np.linalg.eigh(cov)  # ascending
+    pad = max(k - len(eigvals), 0)  # components past the width d
+    comps = np.pad(vecs[:, ::-1][:, :k], ((0, 0), (0, pad)))
+    comps *= np.where(comps[np.abs(comps).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    lam = np.pad(np.maximum(eigvals[::-1][:k], 0.0), (0, pad))
+    ratios = lam / total if total > 0 else np.zeros(k)
     return centered @ comps, ratios
 
 

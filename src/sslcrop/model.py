@@ -43,6 +43,11 @@ class EncoderConfig:
     ff_dim: int = 256
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "ff_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must not be negative, got {self.n_layers}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 

@@ -89,8 +89,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.finetune_mode not in ("full", "linear_probe"):
             raise ValueError(f"unknown finetune_mode {self.finetune_mode!r}")
-        if min(self.lr, self.batch_size, self.dn_scale) <= 0:
-            raise ValueError("lr, batch_size and dn_scale must be positive")
+        for name in ("lr", "dn_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and at least 0, got {self.weight_decay}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.branch_threads is not None and self.branch_threads < 1:
             raise ValueError(f"branch_threads must be at least 1, got {self.branch_threads}")
         for name in ("epochs_supervised", "epochs_pretrain", "epochs_finetune", "collapse_warmup_epochs"):

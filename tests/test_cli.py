@@ -9,6 +9,7 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ class TestRun:
             tiny_runconfig(method="ssl", aug="aug9")
         with pytest.raises(cli.ConfigError, match="e9"):
             tiny_runconfig(scenario="e9")
-        assert tiny_runconfig(scenario="E2").scenario == "E2"  # ScenarioSpec compares in lower case
+        assert tiny_runconfig(scenario="E2").scenario == "e2"  # lower-cased, as ScenarioSpec does
 
 
 class TestMatrix:
@@ -305,6 +306,18 @@ class TestMatrix:
         summary = run_matrix(settings, tmp_path / "out", jobs=2)
         assert calls == [str(csv)]
         assert "error" not in summary
+
+    def test_scenario_case_does_not_change_a_cell(self, tmp_path):
+        # e2 is the scenario whose aug2 pool takes the unlabeled target year
+        settings = tiny_settings(methods="ssl:aug2", scenarios="e2")
+        lower = run_matrix(settings, tmp_path / "lower", jobs=1)
+        upper = run_matrix({**settings, "scenarios": "E2"}, tmp_path / "upper", jobs=1)
+        assert lower == upper
+        files = {p.relative_to(tmp_path / "lower") for p in (tmp_path / "lower").rglob("*") if p.is_file()}
+        assert files == {p.relative_to(tmp_path / "upper") for p in (tmp_path / "upper").rglob("*") if p.is_file()}
+        assert Path("ssl+aug2_e2/pretrained.json") in files
+        for f in files:
+            assert (tmp_path / "upper" / f).read_bytes() == (tmp_path / "lower" / f).read_bytes()
 
     def test_jobs_do_not_change_results(self, tmp_path):
         settings = tiny_settings(methods="rf,ssl:aug2", scenarios="e1,e2")
@@ -578,6 +591,32 @@ class TestCommands:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "RF"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--d-model", "0"], "d_model must be at least 1, got 0"),
+        (["--d-model", "-4"], "d_model must be at least 1, got -4"),
+        (["--n-heads", "0"], "n_heads must be at least 1, got 0"),
+        (["--n-heads", "-2"], "n_heads must be at least 1, got -2"),
+        (["--ff-dim", "0"], "ff_dim must be at least 1, got 0"),
+        (["--n-layers", "-1"], "n_layers must not be negative, got -1"),
+        (["--lr", "nan"], "lr must be finite and positive, got nan"),
+        (["--lr", "inf"], "lr must be finite and positive, got inf"),
+        (["--lr", "0"], "lr must be finite and positive, got 0.0"),
+        (["--dn-scale", "nan"], "dn_scale must be finite and positive, got nan"),
+        (["--weight-decay", "-0.1"], "weight_decay must be finite and at least 0, got -0.1"),
+        (["--weight-decay", "inf"], "weight_decay must be finite and at least 0, got inf"),
+        (["--momentum", "-1"], "momentum must lie in [0, 1), got -1.0"),
+        (["--momentum", "1"], "momentum must lie in [0, 1), got 1.0"),
+        (["--momentum", "nan"], "momentum must lie in [0, 1), got nan"),
+        (["--batch-size", "0"], "batch_size must be positive, got 0"),
+    ])
+    def test_bad_model_or_training_setting_fails_naming_the_field(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        rc = main(["run", "--method", "tf", "--synth-n", "2", "--epochs-supervised", "1",
+                   "--out", str(out)] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"sslcrop: error: {message}\n"
+        assert not out.exists()
 
     def test_error_exits_nonzero_without_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"

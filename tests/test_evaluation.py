@@ -190,12 +190,40 @@ class TestPca:
         coords2, _ = E.pca_project(-X, k=2)
         assert np.abs(np.abs(coords1) - np.abs(coords2)).max() < 1e-8
 
-    def test_non_convergence_raises_with_iteration_count(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(40, 8)) * np.linspace(3, 1, 8)
-        with pytest.raises(E.PowerIterationError) as err:
-            E.pca_project(X, k=1, max_iters=2)
-        assert err.value.iterations == 2
+    def test_near_tied_top_variances(self):
+        # centred orthonormal columns scaled so the top two standard deviations
+        # differ by 0.01%: the axes are the components, the scales their spreads
+        rng = np.random.default_rng(7)
+        Z = rng.normal(size=(240, 182))
+        Q, _ = np.linalg.qr(Z - Z.mean(axis=0))
+        scales = np.r_[1.0001, 1.0, np.linspace(0.5, 0.1, 180)]
+        coords, ratios = E.pca_project(Q * scales, k=2)
+        expected = Q[:, :2] * scales[:2]
+        assert np.abs(np.abs(coords) - np.abs(expected)).max() < 1e-9
+        assert np.allclose(ratios, scales[:2] ** 2 / (scales ** 2).sum(), rtol=1e-12, atol=0)
+
+    def test_rank_one_second_component_is_zero(self):
+        t = np.linspace(-2, 2, 40)
+        X = np.outer(t, np.array([1.0, -2.0, 0.5, 3.0, 1.0]))
+        coords, _ = E.pca_project(X, k=2)
+        assert np.abs(coords[:, 1]).max() < 1e-9
+        assert np.abs(coords[:, 0]).max() > 7
+
+    def test_one_column_leaves_the_second_component_zero(self):
+        X = np.random.default_rng(6).normal(size=(30, 1))
+        coords, ratios = E.pca_project(X, k=2)
+        assert np.array_equal(coords[:, 1], np.zeros(30))
+        assert ratios.tolist() == [1.0, 0.0]
+        assert np.allclose(np.abs(coords[:, 0]), np.abs(X[:, 0] - X[:, 0].mean()), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(900, 64), (200, 16), (12, 30)])
+    def test_coordinates_match_the_svd_up_to_sign(self, shape):
+        X = np.random.default_rng(8).normal(size=shape)
+        coords, _ = E.pca_project(X, k=2)
+        U, S, _ = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+        expected = U[:, :2] * S[:2]
+        scale = np.abs(expected).max(axis=0)
+        assert (np.abs(np.abs(coords) - np.abs(expected)).max(axis=0) < 1e-10 * scale).all()
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
