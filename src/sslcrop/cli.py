@@ -285,6 +285,10 @@ def _split(config: RunConfig, dataset: Dataset, removed: tuple[str, ...]) -> tup
     if target is None and config.scenario != "e1":
         if config.synth is not None and config.synth.divergent_year is not None:
             target = config.synth.divergent_year
+            if target not in dataset.years():
+                raise ConfigError(f"scenario {config.scenario}: the target year defaults to "
+                                  f"synth_divergent_year ({target}), not among the data's years "
+                                  f"{list(dataset.years())}; set --target-year")
         else:
             target = max(dataset.years())
     spec = ScenarioSpec(config.scenario, target, seed=config.seed, e1_stratify=config.e1_stratify)
@@ -442,6 +446,8 @@ def run_matrix(
     workers = min(jobs, len(cells))
     threads = branch_threads(workers)
     raw = _load_dataset(cells[0][2])  # every cell shares the data source; workers inherit it
+    dataset, _ = _preprocess(cells[0][2], raw)  # bad preprocessing input fails before any cell runs
+    header = f"# bands={len(dataset.band_ids)} steps={dataset.n_steps}\n"
     # imported here: every other command would pay about 40 ms and 1.5 MiB at start-up
     import multiprocessing
 
@@ -472,11 +478,9 @@ def run_matrix(
                     if flag and f.exception()]
             raise RuntimeError(f"a matrix worker process died while running {', '.join(lost)}") from None
 
-    dataset, _ = _preprocess(cells[0][2], raw)
     lines = ["method," + ",".join(s.upper() for s in scenarios)]
     for row in range(0, len(cells), len(scenarios)):
         lines.append(",".join([cells[row][0]] + results[row : row + len(scenarios)]))
-    header = f"# bands={len(dataset.band_ids)} steps={dataset.n_steps}\n"
     return header + "\n".join(lines) + "\n"
 
 

@@ -177,10 +177,6 @@ def head_params(state: ModelState) -> dict[str, Tensor]:
     return {k: v for k, v in state.params.items() if k.startswith(("proj", "pred"))}
 
 
-def projector_params(state: ModelState) -> dict[str, Tensor]:
-    return {k: v for k, v in state.params.items() if k.startswith("proj")}
-
-
 def classifier_params(state: ModelState) -> dict[str, Tensor]:
     return {k: v for k, v in state.params.items() if k.startswith("clf")}
 
@@ -277,21 +273,6 @@ def simsiam_forward(
         T.scale(_neg_cosine(p2, T.stop_gradient(z1)), 0.5),
     )
     return loss, z1.data, z2.data
-
-
-def direct_cosine_forward(
-    state: ModelState, x1_batch, x2_batch, training: bool = True, encoder=encode_views
-) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Ablation objective: plain negative cosine between projections.
-
-    No predictor, no stop-gradient.  This is the textbook collapse mode of
-    two-branch training and exists to exercise the collapse monitor.  `encoder`
-    is as in `simsiam_forward`.
-    """
-    e1, e2 = encoder(state, x1_batch, x2_batch)
-    z1 = project(state, e1, training)
-    z2 = project(state, e2, training)
-    return _neg_cosine(z1, z2), z1.data, z2.data
 
 
 def collapse_metric(z_batch: np.ndarray) -> float:

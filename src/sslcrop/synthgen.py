@@ -10,6 +10,7 @@ spikes complete the picture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,15 @@ class SynthConfig:
             raise ValueError("n_per_class_per_year must be >= 1")
         if not 0.0 <= self.cloud_prob <= 1.0:
             raise ValueError("cloud_prob must lie in [0, 1]")
+        for name in ("shift_steps", "amplitude_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("noise_sd", "cloud_dn", "time_jitter_sd", "amp_jitter_sd", "year_effect_sd"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and at least 0, got {value}")
+        if not self.years or len(set(self.years)) < len(self.years):
+            raise ValueError(f"years must be non-empty without repeats, got {self.years}")
 
 
 # Class-level season timing: the green-up and senescence midpoints (step

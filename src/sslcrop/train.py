@@ -215,12 +215,14 @@ def _make_pairs(
     return tuple(M.encoder_batch(xs, dn_scale).astype(np.float32) for xs in (x1s, x2s))
 
 
-def _siamese_step(pool: concurrent.futures.Executor | None, forward, state: ModelState,
+def _siamese_step(pool: concurrent.futures.Executor | None, state: ModelState,
                   params: dict[str, Tensor], x1_batch, x2_batch) -> tuple[float, dict, np.ndarray]:
     """The loss, d(loss)/d(params) and view-1 projections of one pre-training step,
     its two encoder branches run `in_parallel` on `pool`.
 
-    Both branches encode on the state's own tensors, through `forward`'s `encoder`.
+    Both branches encode on the state's own tensors, through `simsiam_forward`'s
+    `encoder`.  `M.simsiam_forward` is looked up when the step runs, so a forward
+    set in its place runs instead.
     The heads and the loss see each embedding as a leaf of their own; one backward
     through them gives the head grads and both embedding grads, and each branch
     back-propagates its encoder from its embedding's grad.  Every encoder param is
@@ -230,12 +232,12 @@ def _siamese_step(pool: concurrent.futures.Executor | None, forward, state: Mode
     """
     roots, leaves = [], []
 
-    def encode(state, x1, x2):  # `forward`'s encoder, so the forward's time includes both branches
+    def encode(state, x1, x2):  # the forward's encoder, so the forward's time includes both branches
         roots.extend(in_parallel(pool, lambda: M.encode(state, x1), lambda: M.encode(state, x2)))
         leaves.extend(Tensor(e.data, requires_grad=True) for e in roots)
         return leaves
 
-    loss, z1, _ = forward(state, x1_batch, x2_batch, encoder=encode)
+    loss, z1, _ = M.simsiam_forward(state, x1_batch, x2_batch, encoder=encode)
     encoder_params = M.encoder_params(state)
     heads = {k: p for k, p in params.items() if k not in encoder_params}
     grads = T.gradients(loss, {**heads, "<view 1>": leaves[0], "<view 2>": leaves[1]})
@@ -253,7 +255,6 @@ def pretrain(
     cfg: TrainConfig,
     encoder: EncoderConfig | None = None,
     simsiam: SimSiamConfig | None = None,
-    objective: str = "simsiam",
 ) -> tuple[ModelState, TrainTrace]:
     """Siamese pre-training over positive pairs drawn by the given policy.
 
@@ -264,26 +265,19 @@ def pretrain(
     thread count is restored and no thread outlives the call.  Computes in
     float32 and returns the model in float64.
     """
-    if objective not in ("simsiam", "direct_cosine"):
-        raise ValueError(f"unknown objective {objective!r}")
     if policy.kind in ("aug1", "aug3") and any(s.label is None for s in pool.samples):
         raise ValueError(f"{policy.kind} needs a fully labeled pool")
     encoder = encoder or EncoderConfig(n_bands=pool.n_bands, n_steps=pool.n_steps)
     simsiam = simsiam or SimSiamConfig()
     state = M.init_model(encoder, simsiam, seed=cfg.seed)
     M.cast_state(state, np.float32)
-    if objective == "simsiam":
-        forward = M.simsiam_forward
-        params = {**M.encoder_params(state), **M.head_params(state)}
-    else:
-        forward = M.direct_cosine_forward
-        params = {**M.encoder_params(state), **M.projector_params(state)}
+    params = {**M.encoder_params(state), **M.head_params(state)}
     aug_rng = seeding.stream(cfg.seed, "augment")
     trace = TrainTrace(collapse=[])
     with blas.one_thread(), thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-view") as branch_pool:
         def step(idx):
             x1, x2 = _make_pairs(pool, idx, policy, aug_rng, cfg.dn_scale)
-            return _siamese_step(branch_pool, forward, state, params, x1, x2)
+            return _siamese_step(branch_pool, state, params, x1, x2)
 
         _sgd("pretrain", len(pool), params, cfg, cfg.epochs_pretrain, trace, step)
     floor = cfg.collapse_threshold_factor / math.sqrt(simsiam.head_out)

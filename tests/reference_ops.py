@@ -1,12 +1,15 @@
-"""Graph nodes that only the tests use: composition blocks for gradient checks
-(`matmul`, `add_bias`, `softmax_rows`, `sum_all`) and the unfused reference
-that `linear` is checked against (`add_bias(matmul(x, w), b)`).  They are built
-on `tensor._op`, so they tape and back-propagate like the package's nodes."""
+"""Graph code that only the tests use: composition blocks for gradient checks
+(`matmul`, `add_bias`, `softmax_rows`, `sum_all`), the unfused reference that
+`linear` is checked against (`add_bias(matmul(x, w), b)`), and the collapsing
+objective that the collapse-monitor tests put in place of `simsiam_forward`
+(`direct_cosine_forward`).  The nodes are built on `tensor._op`, so they tape
+and back-propagate like the package's nodes."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from sslcrop.model import ModelState, _neg_cosine, encode_views, project
 from sslcrop.tensor import ShapeMismatch, Tensor, _op
 
 
@@ -59,3 +62,18 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     return _op(np.asarray(a.data.sum()), (a,), lambda g: (np.full(a.shape, float(g)),))
+
+
+def direct_cosine_forward(
+    state: ModelState, x1_batch, x2_batch, training: bool = True, encoder=encode_views
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Ablation objective: plain negative cosine between projections.
+
+    No predictor, no stop-gradient.  This is the textbook collapse mode of
+    two-branch training and exists to exercise the collapse monitor.  `encoder`
+    is as in `simsiam_forward`.
+    """
+    e1, e2 = encoder(state, x1_batch, x2_batch)
+    z1 = project(state, e1, training)
+    z2 = project(state, e2, training)
+    return _neg_cosine(z1, z2), z1.data, z2.data

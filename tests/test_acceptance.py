@@ -30,6 +30,7 @@ from sslcrop.dataio import (
 from sslcrop.forest import ForestConfig, rf_fit, rf_predict
 from sslcrop.model import EncoderConfig, SimSiamConfig
 from sslcrop.train import TrainConfig, finetune, pretrain, train_supervised
+import reference_ops
 from conftest import make_dataset
 from test_dataio import published_counts_dataset
 
@@ -138,16 +139,15 @@ class TestCriterion3CollapseMonitor:
             z = np.random.default_rng(1).standard_normal((1000, 14))
             assert 0.21 <= M.collapse_metric(z) <= 0.32
 
-    def test_sabotage_collapses_and_healthy_stays(self, synth_fixture):
+    def test_sabotage_collapses_and_healthy_stays(self, synth_fixture, monkeypatch):
         with criterion(3, "collapse monitor (c): sabotage collapses, healthy run stays in band"):
             train, _, _ = make_split(synth_fixture, ScenarioSpec("e3", target_year=2018, seed=11))
             sabotage_cfg = TrainConfig(
                 seed=1, batch_size=64, lr=0.08, epochs_pretrain=60, collapse_warmup_epochs=10
             )
-            _, sab = pretrain(
-                train, AugmentationPolicy("aug1"), sabotage_cfg, BENCH_ENC, BENCH_SIM,
-                objective="direct_cosine",
-            )
+            with monkeypatch.context() as sabotage:
+                sabotage.setattr(M, "simsiam_forward", reference_ops.direct_cosine_forward)
+                _, sab = pretrain(train, AugmentationPolicy("aug1"), sabotage_cfg, BENCH_ENC, BENCH_SIM)
             assert sab.collapse[-1] < 0.1 * REF14
             assert sab.collapse_warning
 

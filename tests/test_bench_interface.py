@@ -5,6 +5,7 @@ the command-line layer directly, so a rename in `src/` would break it only when
 the benchmark runs.  These tests read `perfbench/` and import none of it."""
 
 import ast
+import functools
 import importlib
 from dataclasses import fields
 from pathlib import Path
@@ -28,6 +29,45 @@ def wrap_points():
 @pytest.mark.parametrize("layer, module, attr, count", wrap_points())
 def test_every_wrap_point_resolves_to_a_function(layer, module, attr, count):
     assert callable(getattr(importlib.import_module(module), attr)), layer
+
+
+# The wrap points (as `module.attribute`, without `sslcrop.`) that one `cli.run` on
+# synthetic data reaches, by method.  A caller that binds a wrapped function
+# where perfbench cannot see it (say `simsiam_forward` to a local name) empties
+# that point's spans while `classify` still fills the shared `model.forward` layer.
+RUN = {"cli.run", "cli.generate", "cli.make_split"}
+TRAINED = RUN | {"model.classify", "model.predict_classes", "model.checkpoint_text", "tensor.gradients",
+                 "tensor.sgd_step"}
+SSL = TRAINED | {"cli.pretrain", "cli.finetune", "model.simsiam_forward", "model.collapse_metric",
+                 "evaluation.embed_reference", "evaluation.contrastive_classify_batch"}
+FIRED_BY_RUN = {
+    ("rf", None): RUN | {"cli.rf_fit", "cli.rf_predict"},
+    ("tf", None): TRAINED,
+    ("ssl", "aug1"): SSL | {"train.aug1_pair"},
+    ("ssl", "aug2"): SSL | {"train.aug2"},
+    ("ssl", "aug3"): SSL | {"train.aug3_pair"},
+}
+
+
+@pytest.mark.parametrize("method, aug", FIRED_BY_RUN)
+def test_a_run_fires_its_wrap_points(method, aug, monkeypatch):
+    fired = set()
+
+    def counting(fn, point):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            fired.add(point)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for _, module, attr, _ in wrap_points():
+        target, point = importlib.import_module(module), f"{module.removeprefix('sslcrop.')}.{attr}"
+        monkeypatch.setattr(target, attr, counting(getattr(target, attr), point))
+    settings = {**cli.DEFAULTS, "synth_n": 2, "scenario": "e2", "d_model": 8, "n_heads": 2, "n_layers": 1,
+                "ff_dim": 16, "batch_size": 16, "epochs_supervised": 1, "epochs_pretrain": 1,
+                "epochs_finetune": 1, "n_trees": 2}
+    cli.run(cli.settings_to_runconfig(settings, method=method, aug=aug))
+    assert fired == FIRED_BY_RUN[method, aug]
 
 
 @pytest.mark.parametrize("name", ["DEFAULTS", "settings_to_runconfig", "settings_to_synthconfig", "run",

@@ -388,6 +388,7 @@ class TestMatrix:
         (["--methods", "rf,rf"], "methods"),
         (["--methods", "ssl:aug1,ssl:aug1"], "methods"),
         (["--scenarios", "e1,E1"], "scenarios"),  # one scenario, as ScenarioSpec compares them
+        (["--drop-leading", "14"], "drop_leading 14 out of range for 14 steps"),  # before any cell runs
     ])
     def test_bad_matrix_input_fails_early(self, tmp_path, capsys, flags, message):
         rc = main(["matrix", "--out", str(tmp_path / "out"), "--synth-n", "2"] + flags)
@@ -617,6 +618,41 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err == f"sslcrop: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--synth-noise-sd", "-1"], "noise_sd must be finite and at least 0, got -1.0"),
+        (["--synth-noise-sd", "nan"], "noise_sd must be finite and at least 0, got nan"),
+        (["--synth-year-effect", "-0.5"], "year_effect_sd must be finite and at least 0, got -0.5"),
+        (["--synth-time-jitter", "inf"], "time_jitter_sd must be finite and at least 0, got inf"),
+        (["--synth-amp-jitter", "-0.1"], "amp_jitter_sd must be finite and at least 0, got -0.1"),
+        (["--synth-shift-steps", "nan"], "shift_steps must be finite, got nan"),
+        (["--synth-amplitude-scale", "inf"], "amplitude_scale must be finite, got inf"),
+        (["--synth-years", "2016,2016"], "years must be non-empty without repeats, got (2016, 2016)"),
+    ])
+    def test_bad_synthetic_setting_fails_naming_the_field(self, tmp_path, capsys, flags, message):
+        csv = tmp_path / "synth.csv"
+        rc = main(["synth", "--csv", str(csv), "--synth-n", "2"] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"sslcrop: error: {message}\n"
+        assert not csv.exists()
+
+    def test_cloud_dn_is_checked_from_the_config_file(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("synth_cloud_dn = -1\n", encoding="utf-8")
+        rc = main(["synth", "--config", str(config), "--csv", str(tmp_path / "synth.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "sslcrop: error: cloud_dn must be finite and at least 0, got -1.0\n"
+
+    def test_missing_default_target_year_names_its_setting(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = ["run", "--method", "rf", "--scenario", "e2", "--synth-years", "2016,2017", "--synth-n", "2",
+                 "--n-trees", "2", "--out", str(out)]
+        assert main(flags) == 1
+        err = capsys.readouterr().err
+        assert err == ("sslcrop: error: scenario e2: the target year defaults to synth_divergent_year (2018), "
+                       "not among the data's years [2016, 2017]; set --target-year\n")
+        assert not out.exists()
+        assert main(flags + ["--target-year", "2017"]) == 0
 
     def test_error_exits_nonzero_without_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"

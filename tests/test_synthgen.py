@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from sslcrop.dataio import CropClass, ScenarioSpec, make_split
 from sslcrop.evaluation import overall_accuracy
@@ -73,6 +74,12 @@ def dataset_digest(dataset):
         h.update(s.field_id.encode())
         h.update(np.ascontiguousarray(s.reflectance, dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+class TestConfig:
+    def test_years_must_be_given(self):
+        with pytest.raises(ValueError, match=r"years must be non-empty without repeats, got \(\)"):
+            SynthConfig(years=())
 
 
 class TestGolden:

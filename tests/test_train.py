@@ -14,6 +14,7 @@ from sslcrop.dataio import CANONICAL_BANDS, CropClass, Dataset, Sample
 from sslcrop.model import EncoderConfig, SimSiamConfig
 from sslcrop.train import (TrainConfig, TrainingDiverged, TrainTrace, _make_pairs, branch_threads,
                            finetune, pretrain, train_supervised)
+import reference_ops
 from conftest import make_dataset, make_sample
 
 TINY_ENC = EncoderConfig(n_bands=4, n_steps=6, d_model=8, n_heads=2, n_layers=1, ff_dim=32)
@@ -133,18 +134,21 @@ class TestPretrain:
         assert trace.losses[-1] < -0.99
 
 
-def serial_pretrain(pool, policy, cfg, encoder, simsiam, objective):
+def use_objective(monkeypatch, objective):
+    """Put the collapsing `direct_cosine` forward in `simsiam_forward`'s place, or
+    leave the package's own (`simsiam`)."""
+    if objective == "direct_cosine":
+        monkeypatch.setattr(M, "simsiam_forward", reference_ops.direct_cosine_forward)
+
+
+def serial_pretrain(pool, policy, cfg, encoder, simsiam):
     """The reference: each step one serial forward over both views, one `gradients`
     over the whole graph and one `sgd_step`, on OpenBLAS's one thread, in float32
     (the state through `cast_state`, the batches from `_make_pairs`); the state is
     returned in float64, as `pretrain` returns it."""
     state = M.init_model(encoder, simsiam, seed=cfg.seed)
     M.cast_state(state, np.float32)
-    if objective == "simsiam":
-        forward, heads = M.simsiam_forward, M.head_params(state)
-    else:
-        forward, heads = M.direct_cosine_forward, M.projector_params(state)
-    params = {**M.encoder_params(state), **heads}
+    params = {**M.encoder_params(state), **M.head_params(state)}
     aug_rng = seeding.stream(cfg.seed, "augment")
     n = len(pool)
     losses, collapse, momentum = [], [], {}
@@ -155,7 +159,7 @@ def serial_pretrain(pool, policy, cfg, encoder, simsiam, objective):
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 x1, x2 = _make_pairs(pool, idx, policy, aug_rng, cfg.dn_scale)
-                loss, z1, _ = forward(state, x1, x2)
+                loss, z1, _ = M.simsiam_forward(state, x1, x2)
                 grads = T.gradients(loss, params)
                 T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
                 total += loss.item() * len(idx)
@@ -177,7 +181,8 @@ class TestConcurrentBranches:
         cfg = TrainConfig(lr=0.01, batch_size=16, epochs_pretrain=3, seed=13,
                           collapse_warmup_epochs=10**9, branch_threads=threads)
         policy = AugmentationPolicy(kind)
-        ref, losses, collapse = serial_pretrain(d, policy, cfg, self.ENC, SimSiamConfig(), objective)
+        use_objective(monkeypatch, objective)
+        ref, losses, collapse = serial_pretrain(d, policy, cfg, self.ENC, SimSiamConfig())
 
         encoded_in = set()
 
@@ -186,7 +191,7 @@ class TestConcurrentBranches:
             return inner(state, batch)
 
         monkeypatch.setattr(M, "encode", recording_encode)
-        state, trace = pretrain(d, policy, cfg, self.ENC, SimSiamConfig(), objective)
+        state, trace = pretrain(d, policy, cfg, self.ENC, SimSiamConfig())
         assert len(encoded_in) == threads
         assert trace.losses == losses
         assert trace.collapse == collapse
@@ -239,8 +244,9 @@ class TestPrecision:
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=16)  # 18 samples
         cfg = TrainConfig(lr=0.01, batch_size=32, epochs_pretrain=1, seed=3, collapse_warmup_epochs=10**9)
         policy = AugmentationPolicy(kind)
+        use_objective(monkeypatch, objective)
         seen, (state, _) = self.recorded_dtypes(
-            monkeypatch, lambda: pretrain(d, policy, cfg, TINY_ENC, SimSiamConfig(), objective))
+            monkeypatch, lambda: pretrain(d, policy, cfg, TINY_ENC, SimSiamConfig()))
         assert {role for role, _ in seen} == {"node", "backward", "grad", "momentum", "param"}
         assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}, sorted(map(str, seen))
         for k, p in state.params.items():  # returned in float64, holding float32 values
