@@ -92,7 +92,6 @@ def criterion6(seed: int) -> dict:
 
 def criterion7(seed: int) -> dict:
     """One seed of criterion 7: from scratch against pre-trained + fine-tuned on E3/2018."""
-    from sslcrop.augment import AugmentationPolicy
     from sslcrop.dataio import ScenarioSpec
     from sslcrop.train import TrainConfig, finetune, pretrain, train_supervised
 
@@ -102,7 +101,7 @@ def criterion7(seed: int) -> dict:
     scratch, _ = train_supervised(train, budget, enc, sim)
     pre_cfg = TrainConfig(seed=seed, batch_size=64, lr=0.005, epochs_pretrain=120,
                           collapse_warmup_epochs=10**9)
-    backbone, _ = pretrain(train, AugmentationPolicy("aug1"), pre_cfg, enc, sim)
+    backbone, _ = pretrain(train, "aug1", pre_cfg, enc, sim)
     tuned, _ = finetune(backbone, train, budget)
     scratch_oa, ssl_oa = _oa(scratch, test), _oa(tuned, test)
     return {"scratch_oa": scratch_oa, "ssl_oa": ssl_oa, "gap": ssl_oa - scratch_oa}

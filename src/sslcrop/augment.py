@@ -15,38 +15,21 @@ and never mutate pool samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataio import CropClass, Dataset
 
 KINDS = ("aug1", "aug2", "aug3")
 
+# The policies' parameters, read when an augmentation is called.
+DRIFT_MAX = 0.1      # aug2: peak drift relative to each band's value range
+DRIFT_POINTS = 2     # aug2: interior anchors of the drift curve
+NOISE_SCALE = 0.02   # aug2: Gaussian sd on the normalized series
+CLOUD_DN = 7000.0    # aug3: additive cloud constant, DN
+
 
 class InsufficientClassError(ValueError):
     """A class does not hold enough samples to form a pair."""
-
-
-@dataclass(frozen=True)
-class AugmentationPolicy:
-    """Which augmentation to use and its parameters (DN scale)."""
-
-    kind: str
-    drift_max: float = 0.1       # max drift relative to per-band series range
-    drift_points: int = 2        # interior anchors of the drift curve
-    noise_scale: float = 0.02    # Gaussian sd on the normalized series
-    cloud_dn: float = 7000.0     # additive cloud constant, DN
-    dn_scale: float = 10000.0    # normalization divisor (converts noise_scale to DN)
-    spike_both: bool = True      # aug3: spike both pair elements (else only the second)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        if self.drift_max <= 0 or self.dn_scale <= 0 or self.drift_points < 1:
-            raise ValueError("drift_max, dn_scale and drift_points must be positive")
-        if self.noise_scale < 0 or self.cloud_dn < 0:
-            raise ValueError("noise_scale and cloud_dn must be non-negative")
 
 
 def aug1_pair(
@@ -62,54 +45,42 @@ def aug1_pair(
     return pool.samples[idx[i]].reflectance, pool.samples[idx[j]].reflectance
 
 
-def aug2(
-    x: np.ndarray,
-    rng: np.random.Generator,
-    policy: AugmentationPolicy | None = None,
-) -> np.ndarray:
-    """Distorted copy of one series: drift or noise with equal probability."""
-    policy = policy or AugmentationPolicy("aug2")
+def aug2(x: np.ndarray, rng: np.random.Generator, dn_scale: float) -> np.ndarray:
+    """Distorted copy of one series: drift or noise with equal probability.
+
+    The noise's sd is NOISE_SCALE on the scale normalized by `dn_scale`."""
     x = np.asarray(x, dtype=np.float64)
     n_bands, n_steps = x.shape
     if rng.random() < 0.5:
-        # Drift: per band, a piecewise-linear curve through `drift_points`
+        # Drift: per band, a piecewise-linear curve through DRIFT_POINTS
         # interior anchors (uniform in [-1, 1], zero at both ends), rescaled
-        # so its peak equals drift_max times the band's value range.  All
+        # so its peak equals DRIFT_MAX times the band's value range.  All
         # bands at once, with np.interp's arithmetic so the bits match it.
-        anchors_t = np.linspace(0.0, n_steps - 1.0, policy.drift_points + 2)
-        vals = np.zeros((n_bands, policy.drift_points + 2))
-        vals[:, 1:-1] = rng.uniform(-1.0, 1.0, (n_bands, policy.drift_points))
+        anchors_t = np.linspace(0.0, n_steps - 1.0, DRIFT_POINTS + 2)
+        vals = np.zeros((n_bands, DRIFT_POINTS + 2))
+        vals[:, 1:-1] = rng.uniform(-1.0, 1.0, (n_bands, DRIFT_POINTS))
         tgrid = np.arange(n_steps, dtype=np.float64)
         j = np.searchsorted(anchors_t, tgrid, side="right") - 1  # anchors_t[j] <= t
         slopes = (vals[:, 1:] - vals[:, :-1]) / (anchors_t[1:] - anchors_t[:-1])
-        curves = slopes[:, np.minimum(j, policy.drift_points)] * (tgrid - anchors_t[j]) + vals[:, j]
+        curves = slopes[:, np.minimum(j, DRIFT_POINTS)] * (tgrid - anchors_t[j]) + vals[:, j]
         peak = np.abs(curves).max(axis=1)
         band_range = x.max(axis=1) - x.min(axis=1)
         ok = (peak > 0.0) & (band_range > 0.0)
         out = x.copy()
-        out[ok] += curves[ok] * (policy.drift_max * band_range[ok] / peak[ok])[:, None]
+        out[ok] += curves[ok] * (DRIFT_MAX * band_range[ok] / peak[ok])[:, None]
         return out
-    sd = policy.noise_scale * policy.dn_scale
-    return x + rng.normal(0.0, sd, x.shape)
+    return x + rng.normal(0.0, NOISE_SCALE * dn_scale, x.shape)
 
 
-def _spike(x: np.ndarray, step: int, cloud_dn: float) -> np.ndarray:
+def _spike(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     out = x.copy()
-    out[:, step] += cloud_dn
+    out[:, int(rng.integers(x.shape[1]))] += CLOUD_DN
     return out
 
 
 def aug3_pair(
-    pool: Dataset,
-    crop: CropClass,
-    rng: np.random.Generator,
-    policy: AugmentationPolicy | None = None,
+    pool: Dataset, crop: CropClass, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Same-class pair with an independent cloud spike on each element."""
-    policy = policy or AugmentationPolicy("aug3")
     x1, x2 = aug1_pair(pool, crop, rng)
-    n_steps = x1.shape[1]
-    if policy.spike_both:
-        x1 = _spike(x1, int(rng.integers(n_steps)), policy.cloud_dn)
-    x2 = _spike(x2, int(rng.integers(n_steps)), policy.cloud_dn)
-    return x1, x2
+    return _spike(x1, rng), _spike(x2, rng)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from . import blas
 from . import evaluation as E
 from . import model as M
-from .augment import KINDS as AUGS, AugmentationPolicy
+from .augment import KINDS as AUGS
 from .dataio import (CANONICAL_BANDS, Dataset, Sample, ScenarioSpec, drop_constant_series, load_csv,
                      make_split, select_bands, truncate_steps, write_csv)
 from .forest import ForestConfig, rf_fit, rf_predict
@@ -91,8 +91,6 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("method", None, "run.method", flag=False, choices=METHODS, default="tf"),
     Setting("aug", None, "run.aug", flag=False, optional=True, choices=AUGS),
     Setting("aug2_unlabeled_target", _bool, "run.aug2_unlabeled_target", flag=False),
-    Setting("spike_both", _bool, "run.spike_both", flag=False),
-    Setting("contrastive_table", _bool, "run.contrastive_table", flag=False),
     Setting("methods", str, flag=False, help="e.g. rf,tf,ssl:aug1,ssl:aug3", default="rf,tf"),
     Setting("scenarios", str, flag=False, help="e.g. e1,e2,e3,e4", default="e1,e2,e3,e4"),
     Setting("lr", float, "train.lr"),
@@ -148,8 +146,6 @@ class RunConfig:
     drop_leading: int = 0
     aug: str | None = None
     aug2_unlabeled_target: bool = True
-    spike_both: bool = True
-    contrastive_table: bool = True
     train: TrainConfig = TrainConfig()
     encoder_overrides: tuple[tuple[str, int], ...] = ()  # the data gives the rest of EncoderConfig
     simsiam: SimSiamConfig = SimSiamConfig()
@@ -329,8 +325,7 @@ def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set:
     if config.aug == "aug2" and config.aug2_unlabeled_target and config.scenario == "e2":
         stripped = tuple(Sample(s.field_id, s.year, None, s.reflectance) for s in test_set.samples)
         pool = replace(train_set, samples=train_set.samples + stripped)
-    policy = AugmentationPolicy(config.aug, dn_scale=config.train.dn_scale, spike_both=config.spike_both)
-    return pretrain(pool, policy, config.train, _encoder_config(config, dataset), config.simsiam)
+    return pretrain(pool, config.aug, config.train, _encoder_config(config, dataset), config.simsiam)
 
 
 def _nearest_class(state, reference: Dataset, x_test, cfg: TrainConfig):
@@ -366,17 +361,14 @@ def run(config: RunConfig, raw: Dataset | None = None) -> tuple[dict, dict[str, 
             return tuned, ft_trace, M.predict_classes(tuned, x_test, cfg.batch_size)
 
         def contrast():  # reads the backbone only, as fine-tuning does
-            if config.contrastive_table:
-                return _nearest_class(backbone, train_set, x_test, cfg)
+            return _nearest_class(backbone, train_set, x_test, cfg)
 
         # the table runs beside fine-tuning, under the views' thread rule; one thread runs both serially
-        threads = (cfg.branch_threads or branch_threads()) if config.contrastive_table else 1
-        with thread_pair(threads, "sslcrop-eval") as pool:
+        with thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-eval") as pool:
             (tuned, ft_trace, pred), cpred = in_parallel(pool, tune, contrast)
         _record(files, traces, "pretrain", "pretrained.json", backbone, pre_trace)
         _record(files, traces, "finetune", "finetuned.json", tuned, ft_trace)
-        if cpred is not None:
-            extras["contrastive"] = E.scores(cpred, truth)
+        extras["contrastive"] = E.scores(cpred, truth)
         tag = f"SSL+Aug{config.aug[-1]}"
 
     report = E.build_report(spec.kind, tag, dataset, pred, truth, seeds={"master": config.seed},

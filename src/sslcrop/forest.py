@@ -36,8 +36,12 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.min_leaf < 1:
-            raise ValueError("n_trees and min_leaf must be >= 1")
+        for name in ("n_trees", "min_leaf", "max_features"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"max_depth must not be negative, got {self.max_depth}")
 
 
 @dataclass

@@ -59,8 +59,9 @@ class SimSiamConfig:
     pred_hidden: int = 6
 
     def __post_init__(self):
-        if min(self.proj_hidden, self.head_out, self.pred_hidden) < 1:
-            raise ValueError("head dimensions must be >= 1")
+        for name in ("proj_hidden", "head_out", "pred_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass

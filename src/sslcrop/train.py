@@ -32,7 +32,7 @@ from . import blas
 from . import model as M
 from . import seeding
 from . import tensor as T
-from .augment import AugmentationPolicy, aug1_pair, aug2, aug3_pair
+from .augment import KINDS, aug1_pair, aug2, aug3_pair
 from .dataio import N_CLASSES, Dataset
 from .model import EncoderConfig, ModelState, SimSiamConfig
 from .tensor import Tensor
@@ -195,7 +195,7 @@ def train_supervised(
 def _make_pairs(
     pool: Dataset,
     indices: np.ndarray,
-    policy: AugmentationPolicy,
+    aug: str,
     rng: np.random.Generator,
     dn_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +204,12 @@ def _make_pairs(
     x1s, x2s = [], []
     for i in indices:
         sample = pool.samples[i]
-        if policy.kind == "aug2":
-            x1, x2 = sample.reflectance, aug2(sample.reflectance, rng, policy)
-        elif policy.kind == "aug1":
+        if aug == "aug2":
+            x1, x2 = sample.reflectance, aug2(sample.reflectance, rng, dn_scale)
+        elif aug == "aug1":
             x1, x2 = aug1_pair(pool, sample.label, rng)
         else:
-            x1, x2 = aug3_pair(pool, sample.label, rng, policy)
+            x1, x2 = aug3_pair(pool, sample.label, rng)
         x1s.append(x1)
         x2s.append(x2)
     return tuple(M.encoder_batch(xs, dn_scale).astype(np.float32) for xs in (x1s, x2s))
@@ -251,12 +251,12 @@ def _siamese_step(pool: concurrent.futures.Executor | None, state: ModelState,
 
 def pretrain(
     pool: Dataset,
-    policy: AugmentationPolicy,
+    aug: str,
     cfg: TrainConfig,
     encoder: EncoderConfig | None = None,
     simsiam: SimSiamConfig | None = None,
 ) -> tuple[ModelState, TrainTrace]:
-    """Siamese pre-training over positive pairs drawn by the given policy.
+    """Siamese pre-training over positive pairs drawn by policy `aug` (one of `KINDS`).
 
     Records the collapse metric of each epoch's projections and raises the
     warning flag if, past the warm-up epoch, it falls below
@@ -265,8 +265,10 @@ def pretrain(
     thread count is restored and no thread outlives the call.  Computes in
     float32 and returns the model in float64.
     """
-    if policy.kind in ("aug1", "aug3") and any(s.label is None for s in pool.samples):
-        raise ValueError(f"{policy.kind} needs a fully labeled pool")
+    if aug not in KINDS:
+        raise ValueError(f"unknown augmentation kind {aug!r}; choose from {KINDS}")
+    if aug in ("aug1", "aug3") and any(s.label is None for s in pool.samples):
+        raise ValueError(f"{aug} needs a fully labeled pool")
     encoder = encoder or EncoderConfig(n_bands=pool.n_bands, n_steps=pool.n_steps)
     simsiam = simsiam or SimSiamConfig()
     state = M.init_model(encoder, simsiam, seed=cfg.seed)
@@ -276,7 +278,7 @@ def pretrain(
     trace = TrainTrace(collapse=[])
     with blas.one_thread(), thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-view") as branch_pool:
         def step(idx):
-            x1, x2 = _make_pairs(pool, idx, policy, aug_rng, cfg.dn_scale)
+            x1, x2 = _make_pairs(pool, idx, aug, aug_rng, cfg.dn_scale)
             return _siamese_step(branch_pool, state, params, x1, x2)
 
         _sgd("pretrain", len(pool), params, cfg, cfg.epochs_pretrain, trace, step)

@@ -18,7 +18,6 @@ from sslcrop import cli
 from sslcrop import evaluation as E
 from sslcrop import model as M
 from sslcrop import tensor as T
-from sslcrop.augment import AugmentationPolicy
 from sslcrop.dataio import (
     CANONICAL_BANDS,
     CropClass,
@@ -147,7 +146,7 @@ class TestCriterion3CollapseMonitor:
             )
             with monkeypatch.context() as sabotage:
                 sabotage.setattr(M, "simsiam_forward", reference_ops.direct_cosine_forward)
-                _, sab = pretrain(train, AugmentationPolicy("aug1"), sabotage_cfg, BENCH_ENC, BENCH_SIM)
+                _, sab = pretrain(train, "aug1", sabotage_cfg, BENCH_ENC, BENCH_SIM)
             assert sab.collapse[-1] < 0.1 * REF14
             assert sab.collapse_warning
 
@@ -155,7 +154,7 @@ class TestCriterion3CollapseMonitor:
                 seed=1, batch_size=64, lr=0.005, epochs_pretrain=60,
                 collapse_warmup_epochs=10,
             )
-            _, heal = pretrain(train, AugmentationPolicy("aug1"), healthy_cfg, BENCH_ENC, BENCH_SIM)
+            _, heal = pretrain(train, "aug1", healthy_cfg, BENCH_ENC, BENCH_SIM)
             assert all(0.5 * REF14 <= v <= 1.5 * REF14 for v in heal.collapse)
             assert not heal.collapse_warning
 
@@ -241,7 +240,7 @@ class TestCriterion7SslBenefit:
                     seed=seed, batch_size=64, lr=0.005, epochs_pretrain=120,
                     collapse_warmup_epochs=10**9,
                 )
-                backbone, _ = pretrain(train, AugmentationPolicy("aug1"), pre_cfg, BENCH_ENC, BENCH_SIM)
+                backbone, _ = pretrain(train, "aug1", pre_cfg, BENCH_ENC, BENCH_SIM)
                 tuned, _ = finetune(backbone, train, budget)
                 scratch_oa = E.overall_accuracy(batched_predict(scratch, test), truth)
                 ssl_oa = E.overall_accuracy(batched_predict(tuned, test), truth)

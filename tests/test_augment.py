@@ -4,15 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sslcrop.augment import (
-    AugmentationPolicy,
-    InsufficientClassError,
-    aug1_pair,
-    aug2,
-    aug3_pair,
-)
+from sslcrop import augment
+from sslcrop.augment import InsufficientClassError, aug1_pair, aug2, aug3_pair
 from sslcrop.dataio import CropClass, Sample
 from conftest import make_dataset
+
+
+DN_SCALE = 10000.0  # TrainConfig's default
 
 
 def pool_of(n_per_class, seed=0):
@@ -84,14 +82,14 @@ def drift_branch_rng(seed):
 
 
 class TestAug2:
-    def test_zero_noise_scale_is_identity(self):
-        policy = AugmentationPolicy("aug2", noise_scale=0.0)
+    def test_zero_noise_scale_is_identity(self, monkeypatch):
+        monkeypatch.setattr(augment, "NOISE_SCALE", 0.0)
         x = np.random.default_rng(0).uniform(0, 5000, (4, 14))
         for seed in range(10):
             rng = drift_branch_rng(seed)
             if rng is not None:
                 continue  # want the noise branch here
-            out = aug2(x, np.random.default_rng(seed), policy)
+            out = aug2(x, np.random.default_rng(seed), DN_SCALE)
             assert np.array_equal(out, x)
 
     def test_drift_leaves_constant_band_unchanged(self):
@@ -102,7 +100,7 @@ class TestAug2:
             rng = drift_branch_rng(seed)
             if rng is None:
                 continue
-            out = aug2(x, rng)
+            out = aug2(x, rng, DN_SCALE)
             assert np.array_equal(out[0], x[0])  # zero range -> zero drift
             assert np.array_equal(out[2], x[2])
             hits += 1
@@ -116,7 +114,7 @@ class TestAug2:
             if rng is None:
                 continue
             x = rng_data.uniform(0, 8000, (3, 14))
-            out = aug2(x, rng)
+            out = aug2(x, rng, DN_SCALE)
             span = x.max(axis=1) - x.min(axis=1)
             assert (np.abs(out - x).max(axis=1) <= 0.1 * span + 1e-12).all()
             checked += 1
@@ -126,12 +124,11 @@ class TestAug2:
 
     def test_noise_branch_statistics(self):
         x = np.zeros((2, 2000)) + 5000.0
-        policy = AugmentationPolicy("aug2")
         diffs = []
         for seed in range(40):
             if drift_branch_rng(seed) is not None:
                 continue
-            out = aug2(x, np.random.default_rng(seed), policy)
+            out = aug2(x, np.random.default_rng(seed), DN_SCALE)
             diffs.append(out - x)
         sd = np.concatenate(diffs).std()
         assert abs(sd - 0.02 * 10000) < 10.0  # DN equivalent of scale=0.02
@@ -142,41 +139,41 @@ class TestAug2:
         noise_like = 0
         n = 400
         for _ in range(n):
-            out = aug2(x, rng)
+            out = aug2(x, rng, DN_SCALE)
             # drift keeps each band's first step fixed (curve anchored at zero)
             if not np.isclose(out[0, 0], x[0, 0]):
                 noise_like += 1
         assert abs(noise_like / n - 0.5) < 0.1
 
 
-    def test_drift_equals_the_per_band_interp_loop(self):
-        def loop_aug2(x, rng, policy):  # one rng.uniform and np.interp per band
+    def test_drift_equals_the_per_band_interp_loop(self, monkeypatch):
+        def loop_aug2(x, rng, dn_scale):  # one rng.uniform and np.interp per band
             x = np.asarray(x, dtype=np.float64)
             n_bands, n_steps = x.shape
             if rng.random() < 0.5:
                 out = x.copy()
                 tgrid = np.arange(n_steps, dtype=np.float64)
-                anchors_t = np.linspace(0.0, n_steps - 1.0, policy.drift_points + 2)
+                anchors_t = np.linspace(0.0, n_steps - 1.0, augment.DRIFT_POINTS + 2)
                 for b in range(n_bands):
                     anchor_vals = np.concatenate(
-                        ([0.0], rng.uniform(-1.0, 1.0, policy.drift_points), [0.0]))
+                        ([0.0], rng.uniform(-1.0, 1.0, augment.DRIFT_POINTS), [0.0]))
                     curve = np.interp(tgrid, anchors_t, anchor_vals)
                     peak = np.abs(curve).max()
                     band_range = x[b].max() - x[b].min()
                     if peak > 0.0 and band_range > 0.0:
-                        out[b] += curve * (policy.drift_max * band_range / peak)
+                        out[b] += curve * (augment.DRIFT_MAX * band_range / peak)
                 return out
-            return x + rng.normal(0.0, policy.noise_scale * policy.dn_scale, x.shape)
+            return x + rng.normal(0.0, augment.NOISE_SCALE * dn_scale, x.shape)
 
         data = np.random.default_rng(7)
         drifted = 0
         for drift_points, n_steps in ((1, 14), (2, 14), (3, 14), (3, 5), (2, 3), (1, 2)):
-            policy = AugmentationPolicy("aug2", drift_points=drift_points)
+            monkeypatch.setattr(augment, "DRIFT_POINTS", drift_points)
             for seed in range(100):
                 x = data.uniform(0, 8000, (5, n_steps))
                 x[2] = 1500.0  # a constant band: no drift
                 new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                new, old = aug2(x, new_rng, policy), loop_aug2(x, old_rng, policy)
+                new, old = aug2(x, new_rng, DN_SCALE), loop_aug2(x, old_rng, DN_SCALE)
                 assert new.tobytes() == old.tobytes(), (drift_points, n_steps, seed)
                 assert new_rng.random() == old_rng.random()  # the stream is consumed alike
                 drifted += np.array_equal(new[:, 0], x[:, 0])  # drift keeps step 0
@@ -184,10 +181,10 @@ class TestAug2:
 
 
 class TestAug3:
-    def test_zero_cloud_reduces_to_aug1(self):
+    def test_zero_cloud_reduces_to_aug1(self, monkeypatch):
         pool = pool_of(3, seed=2)
-        policy = AugmentationPolicy("aug3", cloud_dn=0.0)
-        a = aug3_pair(pool, CropClass.CORN, np.random.default_rng(9), policy)
+        monkeypatch.setattr(augment, "CLOUD_DN", 0.0)
+        a = aug3_pair(pool, CropClass.CORN, np.random.default_rng(9))
         b = aug1_pair(pool, CropClass.CORN, np.random.default_rng(9))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
@@ -227,21 +224,8 @@ class TestAug3:
         freq = counts / (2 * n)
         assert np.abs(freq - 1 / 14).max() < 0.03
 
-    def test_spike_second_only_mode(self):
-        pool = pool_of(3, seed=2)
-        policy = AugmentationPolicy("aug3", spike_both=False)
-        rng = np.random.default_rng(11)
-        x1, x2 = aug3_pair(pool, CropClass.CORN, rng, policy)
-        entries = [s.reflectance for s in pool.samples if s.label is CropClass.CORN]
-        assert any(np.array_equal(x1, e) for e in entries)  # first element untouched
-        assert not any(np.array_equal(x2, e) for e in entries)
-
 
 class TestPolicy:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            AugmentationPolicy("augX")
-
     def test_determinism_given_seed(self):
         pool = pool_of(4, seed=1)
         a = aug3_pair(pool, CropClass.CORN, np.random.default_rng(42))

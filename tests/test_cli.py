@@ -17,7 +17,6 @@ import pytest
 from sslcrop import cli
 from sslcrop import evaluation as E
 from sslcrop import model as M
-from sslcrop.augment import AugmentationPolicy
 from sslcrop.cli import main, run, run_matrix
 from sslcrop.dataio import load_csv
 from sslcrop.forest import ForestConfig
@@ -99,9 +98,10 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        with pytest.raises(cli.ConfigError, match="bogus"):
-            list(cli._config_entries(cfg))
+        for key, value in (("bogus", "1"), ("spike_both", "on")):  # spike_both: a removed key
+            cfg.write_text(f"{key} = {value}\n")
+            with pytest.raises(cli.ConfigError, match=re.escape(f"{cfg}:1: unknown key '{key}'")):
+                list(cli._config_entries(cfg))
 
     def test_cli_flag_overrides_file(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -124,7 +124,7 @@ class TestConfigFile:
         ("seed = abc", "seed: invalid literal for int()"),
         ("lr = none", "lr: needs a value"),
         ("synth_years =", "synth_years: needs a value"),
-        ("spike_both = maybe", "spike_both: cannot parse boolean"),
+        ("aug2_unlabeled_target = maybe", "aug2_unlabeled_target: cannot parse boolean"),
         ("e1_stratify = county", "e1_stratify: 'county' is not one of"),
         ("bands = B02,B99", "bands: unknown bands ['B99']"),
     ])
@@ -175,8 +175,7 @@ class TestSettingsTable:
     def test_every_key_is_reachable(self):
         keys = [row.key for row in cli.SETTINGS]
         assert len(keys) == len(set(keys)) and set(keys) == set(cli.DEFAULTS)
-        config_only = {"max_depth", "max_features", "synth_cloud_dn", "aug2_unlabeled_target",
-                       "spike_both", "contrastive_table"}
+        config_only = {"max_depth", "max_features", "synth_cloud_dn", "aug2_unlabeled_target"}
         assert set(keys) - {key for _, key in FLAGGED_KEYS} == config_only
 
     @pytest.mark.parametrize("command, key", FLAGGED_KEYS)
@@ -203,9 +202,9 @@ class TestSettingsTable:
 
     def test_builders_accept_values_as_text(self):
         as_text = dict(cli.DEFAULTS, seed="4", lr="0.5", synth_years="2017, 2018", bands="B02,B03",
-                       finetune_mode="linear", max_depth="none", spike_both="off", aug="aug3")
+                       finetune_mode="linear", max_depth="none", aug2_unlabeled_target="off", aug="aug3")
         values = dict(cli.DEFAULTS, seed=4, lr=0.5, synth_years=(2017, 2018), bands=("B02", "B03"),
-                      finetune_mode="linear_probe", spike_both=False, aug="aug3")
+                      finetune_mode="linear_probe", aug2_unlabeled_target=False, aug="aug3")
         for method in ("tf", "ssl"):
             assert (cli.settings_to_runconfig(as_text, method=method)
                     == cli.settings_to_runconfig(values, method=method))
@@ -419,7 +418,7 @@ class TestThreads:
         if get is not None:
             set_(2)
         try:
-            pretrain(dataset, AugmentationPolicy("aug1"), cfg, cli._encoder_config(config, dataset))
+            pretrain(dataset, "aug1", cfg, cli._encoder_config(config, dataset))
             assert threading.active_count() == threads
             if get is not None:
                 assert get() == 2  # the caller's count is back
@@ -433,7 +432,7 @@ class TestThreads:
         # thread, by the forked matrix workers, which would then wait forever
         config = tiny_runconfig(method="ssl", aug="aug1")
         dataset = cli._prepare(config)[3]
-        pretrain(dataset, AugmentationPolicy("aug1"),
+        pretrain(dataset, "aug1",
                  TrainConfig(lr=0.01, batch_size=16, epochs_pretrain=1, branch_threads=2),
                  cli._encoder_config(config, dataset))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # two branch threads per worker
@@ -610,6 +609,10 @@ class TestCommands:
         (["--momentum", "1"], "momentum must lie in [0, 1), got 1.0"),
         (["--momentum", "nan"], "momentum must lie in [0, 1), got nan"),
         (["--batch-size", "0"], "batch_size must be positive, got 0"),
+        (["--head-out", "0"], "head_out must be at least 1, got 0"),
+        (["--proj-hidden", "-1"], "proj_hidden must be at least 1, got -1"),
+        (["--n-trees", "0"], "n_trees must be at least 1, got 0"),
+        (["--min-leaf", "0"], "min_leaf must be at least 1, got 0"),
     ])
     def test_bad_model_or_training_setting_fails_naming_the_field(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
@@ -642,6 +645,30 @@ class TestCommands:
         rc = main(["synth", "--config", str(config), "--csv", str(tmp_path / "synth.csv")])
         assert rc == 1
         assert capsys.readouterr().err == "sslcrop: error: cloud_dn must be finite and at least 0, got -1.0\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("max_features = 0", "max_features must be at least 1, got 0"),
+        ("max_features = -3", "max_features must be at least 1, got -3"),
+        ("max_depth = -1", "max_depth must not be negative, got -1"),
+    ])
+    def test_bad_forest_setting_is_checked_from_the_config_file(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["run", "--method", "rf", "--synth-n", "4", "--n-trees", "3", "--config", str(config),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"sslcrop: error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_exponent_flag_value_is_given_with_equals(self, tmp_path):
+        # argparse reads "-1e-3" after a space as an option; "--flag=-1e-3" is the value
+        config = tmp_path / "run.cfg"
+        config.write_text("synth_shift_steps = -1e-3\n", encoding="utf-8")
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        assert main(["synth", "--synth-n", "2", "--csv", str(by_flag), "--synth-shift-steps=-1e-3"]) == 0
+        assert main(["synth", "--synth-n", "2", "--csv", str(by_file), "--config", str(config)]) == 0
+        assert by_flag.read_bytes() == by_file.read_bytes()
 
     def test_missing_default_target_year_names_its_setting(self, tmp_path, capsys):
         out = tmp_path / "out"

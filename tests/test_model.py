@@ -288,7 +288,7 @@ class TestCheckpoint:
         ("encoder", {"n_heads": 3}, "d_model 8 not divisible by n_heads 3"),
         ("simsiam", {"bogus": 1}, r"unknown keys \['bogus'\], missing keys \[\]"),
         ("simsiam", {"head_out": None}, r"unknown keys \[\], missing keys \['head_out'\]"),
-        ("simsiam", {"head_out": 0}, "head dimensions must be >= 1"),
+        ("simsiam", {"head_out": 0}, "head_out must be at least 1, got 0"),
     ], ids=["encoder-unknown", "encoder-missing", "encoder-invalid",
             "simsiam-unknown", "simsiam-missing", "simsiam-invalid"])
     def test_bad_config_section_named_at_load(self, tmp_path, section, edit, message):

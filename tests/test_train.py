@@ -5,11 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from sslcrop import augment
 from sslcrop import blas
 from sslcrop import model as M
 from sslcrop import seeding
 from sslcrop import tensor as T
-from sslcrop.augment import AugmentationPolicy
 from sslcrop.dataio import CANONICAL_BANDS, CropClass, Dataset, Sample
 from sslcrop.model import EncoderConfig, SimSiamConfig
 from sslcrop.train import (TrainConfig, TrainingDiverged, TrainTrace, _make_pairs, branch_threads,
@@ -79,7 +79,7 @@ class TestPretrain:
     def test_zero_epochs_returns_initialization(self):
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=4)
         cfg = TrainConfig(epochs_pretrain=0, seed=5)
-        state, trace = pretrain(d, AugmentationPolicy("aug1"), cfg, TINY_ENC)
+        state, trace = pretrain(d, "aug1", cfg, TINY_ENC)
         fresh = M.init_model(TINY_ENC, SimSiamConfig(), seed=5)
         M.cast_state(fresh, np.float32)  # pre-training starts from the float32-rounded init
         for k in fresh.params:
@@ -90,7 +90,7 @@ class TestPretrain:
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=6)
         cfg = TrainConfig(lr=0.001, batch_size=9, epochs_pretrain=4, seed=2,
                           collapse_warmup_epochs=10**9)
-        _, trace = pretrain(d, AugmentationPolicy("aug2"), cfg, TINY_ENC)
+        _, trace = pretrain(d, "aug2", cfg, TINY_ENC)
         assert len(trace.collapse) == 4
         assert all(np.isfinite(trace.collapse))
         assert not trace.collapse_warning
@@ -102,7 +102,22 @@ class TestPretrain:
             d.band_ids, d.n_steps,
         )
         with pytest.raises(ValueError, match="labeled"):
-            pretrain(stripped, AugmentationPolicy("aug1"), TrainConfig(epochs_pretrain=1), TINY_ENC)
+            pretrain(stripped, "aug1", TrainConfig(epochs_pretrain=1), TINY_ENC)
+
+    def test_unknown_kind_rejected(self):
+        d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6)
+        with pytest.raises(ValueError, match="unknown augmentation kind 'augX'"):
+            pretrain(d, "augX", TrainConfig(epochs_pretrain=1), TINY_ENC)
+
+    @pytest.mark.parametrize("dn_scale", [10000.0, 5000.0])
+    def test_aug2_noise_is_noise_scale_on_the_normalized_scale(self, dn_scale):
+        # the noise branch of a pair moves every step; the drift branch keeps step 0
+        d = make_dataset(n_per_class=10, years=(2016, 2017), n_bands=4, n_steps=14, seed=21)
+        x1, x2 = _make_pairs(d, np.arange(len(d)), "aug2", np.random.default_rng(5), dn_scale)
+        diff = x2.astype(np.float64) - x1  # batch x steps x bands
+        noisy = np.any(diff[:, 0, :] != 0.0, axis=1)
+        assert 40 < noisy.sum() < 200
+        assert abs(diff[noisy].std() - augment.NOISE_SCALE) < 0.1 * augment.NOISE_SCALE
 
     def test_aug2_accepts_unlabeled_pool(self):
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=8)
@@ -112,15 +127,15 @@ class TestPretrain:
         )
         cfg = TrainConfig(lr=0.001, batch_size=9, epochs_pretrain=2, seed=3,
                           collapse_warmup_epochs=10**9)
-        _, trace = pretrain(stripped, AugmentationPolicy("aug2"), cfg, TINY_ENC)
+        _, trace = pretrain(stripped, "aug2", cfg, TINY_ENC)
         assert len(trace.losses) == 2
 
     def test_loss_in_range_and_deterministic(self):
         d = make_dataset(n_per_class=4, years=(2016,), n_bands=4, n_steps=6, seed=9)
         cfg = TrainConfig(lr=0.005, batch_size=12, epochs_pretrain=3, seed=4,
                           collapse_warmup_epochs=10**9)
-        _, t1 = pretrain(d, AugmentationPolicy("aug3"), cfg, TINY_ENC)
-        _, t2 = pretrain(d, AugmentationPolicy("aug3"), cfg, TINY_ENC)
+        _, t1 = pretrain(d, "aug3", cfg, TINY_ENC)
+        _, t2 = pretrain(d, "aug3", cfg, TINY_ENC)
         assert t1.losses == t2.losses
         assert all(-1.0 <= v <= 1.0 for v in t1.losses)
 
@@ -130,7 +145,7 @@ class TestPretrain:
         pool = Dataset(d.samples[:2], d.band_ids, d.n_steps)  # both corn
         cfg = TrainConfig(lr=0.05, batch_size=2, epochs_pretrain=200, seed=6,
                           collapse_warmup_epochs=10**9)
-        _, trace = pretrain(pool, AugmentationPolicy("aug1"), cfg, TINY_ENC)
+        _, trace = pretrain(pool, "aug1", cfg, TINY_ENC)
         assert trace.losses[-1] < -0.99
 
 
@@ -141,7 +156,7 @@ def use_objective(monkeypatch, objective):
         monkeypatch.setattr(M, "simsiam_forward", reference_ops.direct_cosine_forward)
 
 
-def serial_pretrain(pool, policy, cfg, encoder, simsiam):
+def serial_pretrain(pool, aug, cfg, encoder, simsiam):
     """The reference: each step one serial forward over both views, one `gradients`
     over the whole graph and one `sgd_step`, on OpenBLAS's one thread, in float32
     (the state through `cast_state`, the batches from `_make_pairs`); the state is
@@ -158,7 +173,7 @@ def serial_pretrain(pool, policy, cfg, encoder, simsiam):
             total, z_parts = 0.0, []
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                x1, x2 = _make_pairs(pool, idx, policy, aug_rng, cfg.dn_scale)
+                x1, x2 = _make_pairs(pool, idx, aug, aug_rng, cfg.dn_scale)
                 loss, z1, _ = M.simsiam_forward(state, x1, x2)
                 grads = T.gradients(loss, params)
                 T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
@@ -180,9 +195,8 @@ class TestConcurrentBranches:
         d = make_dataset(n_per_class=3, years=(2016, 2017), n_bands=4, n_steps=6, seed=15)
         cfg = TrainConfig(lr=0.01, batch_size=16, epochs_pretrain=3, seed=13,
                           collapse_warmup_epochs=10**9, branch_threads=threads)
-        policy = AugmentationPolicy(kind)
         use_objective(monkeypatch, objective)
-        ref, losses, collapse = serial_pretrain(d, policy, cfg, self.ENC, SimSiamConfig())
+        ref, losses, collapse = serial_pretrain(d, kind, cfg, self.ENC, SimSiamConfig())
 
         encoded_in = set()
 
@@ -191,7 +205,7 @@ class TestConcurrentBranches:
             return inner(state, batch)
 
         monkeypatch.setattr(M, "encode", recording_encode)
-        state, trace = pretrain(d, policy, cfg, self.ENC, SimSiamConfig())
+        state, trace = pretrain(d, kind, cfg, self.ENC, SimSiamConfig())
         assert len(encoded_in) == threads
         assert trace.losses == losses
         assert trace.collapse == collapse
@@ -243,10 +257,9 @@ class TestPrecision:
     def test_a_pretraining_step_is_float32_throughout(self, objective, kind, monkeypatch):
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=16)  # 18 samples
         cfg = TrainConfig(lr=0.01, batch_size=32, epochs_pretrain=1, seed=3, collapse_warmup_epochs=10**9)
-        policy = AugmentationPolicy(kind)
         use_objective(monkeypatch, objective)
         seen, (state, _) = self.recorded_dtypes(
-            monkeypatch, lambda: pretrain(d, policy, cfg, TINY_ENC, SimSiamConfig()))
+            monkeypatch, lambda: pretrain(d, kind, cfg, TINY_ENC, SimSiamConfig()))
         assert {role for role, _ in seen} == {"node", "backward", "grad", "momentum", "param"}
         assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}, sorted(map(str, seen))
         for k, p in state.params.items():  # returned in float64, holding float32 values
@@ -386,7 +399,7 @@ class TestOneLoop:
             if phase == "train":
                 train_supervised(d, cfg, TINY_ENC)
             elif phase == "pretrain":
-                pretrain(d, AugmentationPolicy("aug2"), cfg, TINY_ENC)
+                pretrain(d, "aug2", cfg, TINY_ENC)
             else:
                 finetune(M.init_model(TINY_ENC, SimSiamConfig(), seed=2), d, cfg)
         assert len(updates) == 4
