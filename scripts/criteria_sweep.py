@@ -55,7 +55,7 @@ def _oa(state, test) -> float:
     from sslcrop import evaluation as E
     from sslcrop import model as M
 
-    X = M.encoder_batch((s.reflectance for s in test.samples), 10000.0)
+    X = M.encoder_batch(s.reflectance for s in test.samples)
     return E.overall_accuracy(M.predict_classes(state, X, 256), test.labels_array())
 
 

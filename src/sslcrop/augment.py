@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import CropClass, Dataset
+from .dataio import DN_SCALE, CropClass, Dataset
 
 KINDS = ("aug1", "aug2", "aug3")
 
 # The policies' parameters, read when an augmentation is called.
 DRIFT_MAX = 0.1      # aug2: peak drift relative to each band's value range
 DRIFT_POINTS = 2     # aug2: interior anchors of the drift curve
-NOISE_SCALE = 0.02   # aug2: Gaussian sd on the normalized series
+NOISE_SCALE = 0.02   # aug2: Gaussian sd in reflectance (NOISE_SCALE * DN_SCALE in DN)
 CLOUD_DN = 7000.0    # aug3: additive cloud constant, DN
 
 
@@ -45,10 +45,8 @@ def aug1_pair(
     return pool.samples[idx[i]].reflectance, pool.samples[idx[j]].reflectance
 
 
-def aug2(x: np.ndarray, rng: np.random.Generator, dn_scale: float) -> np.ndarray:
-    """Distorted copy of one series: drift or noise with equal probability.
-
-    The noise's sd is NOISE_SCALE on the scale normalized by `dn_scale`."""
+def aug2(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Distorted copy of one series: drift or noise with equal probability."""
     x = np.asarray(x, dtype=np.float64)
     n_bands, n_steps = x.shape
     if rng.random() < 0.5:
@@ -69,7 +67,7 @@ def aug2(x: np.ndarray, rng: np.random.Generator, dn_scale: float) -> np.ndarray
         out = x.copy()
         out[ok] += curves[ok] * (DRIFT_MAX * band_range[ok] / peak[ok])[:, None]
         return out
-    return x + rng.normal(0.0, NOISE_SCALE * dn_scale, x.shape)
+    return x + rng.normal(0.0, NOISE_SCALE * DN_SCALE, x.shape)
 
 
 def _spike(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -55,12 +55,11 @@ def _bands(text: str) -> tuple[str, ...]:
     return bands
 
 
-def _one_of(*options: str, **aliases: str) -> Callable[[str], str]:
+def _one_of(*options: str) -> Callable[[str], str]:
     def parse(text: str) -> str:
-        value = aliases.get(text, text)
-        if value not in options:
-            raise ValueError(f"{text!r} is not one of {', '.join(options + tuple(aliases))}")
-        return value
+        if text not in options:
+            raise ValueError(f"{text!r} is not one of {', '.join(options)}")
+        return text
     return parse
 
 
@@ -96,7 +95,6 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("lr", float, "train.lr"),
     Setting("momentum", float, "train.momentum"),
     Setting("weight_decay", float, "train.weight_decay"),
-    Setting("dn_scale", float, "train.dn_scale"),
     Setting("synth_shift_steps", float, "synth.shift_steps"),
     Setting("synth_amplitude_scale", float, "synth.amplitude_scale"),
     Setting("synth_noise_sd", float, "synth.noise_sd"),
@@ -110,8 +108,7 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("epochs_supervised", int, "train.epochs_supervised"),
     Setting("epochs_pretrain", int, "train.epochs_pretrain"),
     Setting("epochs_finetune", int, "train.epochs_finetune"),
-    Setting("finetune_mode", _one_of("full", "linear_probe", linear="linear_probe"),
-            "train.finetune_mode", flag=False, choices=("linear", "full")),
+    Setting("finetune_mode", None, "train.finetune_mode", flag=False, choices=("full", "linear")),
     Setting("d_model", int, "encoder.d_model"),
     Setting("n_heads", int, "encoder.n_heads"),
     Setting("n_layers", int, "encoder.n_layers"),
@@ -330,7 +327,7 @@ def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set:
 
 def _nearest_class(state, reference: Dataset, x_test, cfg: TrainConfig):
     """Contrastive predictions: each test series takes the class nearest under the loss."""
-    ref = E.embed_reference(state, reference, cfg.dn_scale, cfg.batch_size)
+    ref = E.embed_reference(state, reference, cfg.batch_size)
     return E.contrastive_classify_batch(state, x_test, ref, cfg.batch_size)[0]
 
 
@@ -349,12 +346,12 @@ def run(config: RunConfig, raw: Dataset | None = None) -> tuple[dict, dict[str, 
         pred, tag = rf_predict(rf_fit(train_set, config.forest), test_set), "RF"
     elif config.method == "tf":
         state, trace = train_supervised(train_set, cfg, _encoder_config(config, dataset), config.simsiam)
-        x_test = M.encoder_batch((s.reflectance for s in test_set.samples), cfg.dn_scale)
+        x_test = M.encoder_batch(s.reflectance for s in test_set.samples)
         pred, tag = M.predict_classes(state, x_test, cfg.batch_size), "TF"
         _record(files, traces, "train", "model.json", state, trace)
     else:
         backbone, pre_trace = _pretrain(config, dataset, train_set, test_set)
-        x_test = M.encoder_batch((s.reflectance for s in test_set.samples), cfg.dn_scale)
+        x_test = M.encoder_batch(s.reflectance for s in test_set.samples)
 
         def tune():
             tuned, ft_trace = finetune(backbone, train_set, cfg)
@@ -533,7 +530,7 @@ def _cmd_evaluate(args, settings, out_dir) -> None:
     _check_checkpoint(args.checkpoint, state, dataset)
     dataset, extras, spec, train_set, test_set = _split(config, dataset, removed)
     cfg = config.train
-    x_test = M.encoder_batch((s.reflectance for s in test_set.samples), cfg.dn_scale)
+    x_test = M.encoder_batch(s.reflectance for s in test_set.samples)
     files, traces, tag = {}, {}, "TF"
     if args.command == "finetune":
         state, trace = finetune(state, train_set, cfg)
@@ -564,7 +561,7 @@ def _cmd_export_embeddings(args, settings, out_dir) -> None:
             raise ConfigError("--source encoder needs --checkpoint")
         state = M.load_checkpoint(args.checkpoint)
         _check_checkpoint(args.checkpoint, state, dataset)
-        X = M.encoder_batch((s.reflectance for s in dataset.samples), config.train.dn_scale)
+        X = M.encoder_batch(s.reflectance for s in dataset.samples)
         emb = M.encode_batched(state, X, config.train.batch_size)
     else:
         emb = dataset.feature_matrix()

@@ -31,6 +31,9 @@ CANONICAL_BANDS = (
     "B08", "B8A", "B09", "B10", "B11", "B12",
 )
 
+#: The Level-1C quantification value: a digital number divided by it is reflectance.
+DN_SCALE = 10000.0
+
 
 class CropClass(enum.IntEnum):
     """The six crop types, with a fixed index <-> name bijection."""

@@ -81,11 +81,10 @@ def _unit_heads(state: ModelState, batch: np.ndarray, batch_size: int) -> tuple[
     return T.l2_normalize(z).data, T.l2_normalize(p).data
 
 
-def embed_reference(state: ModelState, reference: Dataset, dn_scale: float,
-                    batch_size: int) -> ReferenceEmbeddings:
+def embed_reference(state: ModelState, reference: Dataset, batch_size: int) -> ReferenceEmbeddings:
     """The labeled reference set's heads, encoded `batch_size` rows at a time."""
     labels = reference.labels_array()
-    batch = M.encoder_batch((s.reflectance for s in reference.samples), dn_scale)
+    batch = M.encoder_batch(s.reflectance for s in reference.samples)
     return ReferenceEmbeddings(*_unit_heads(state, batch, batch_size), labels)
 
 

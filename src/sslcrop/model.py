@@ -30,6 +30,7 @@ import numpy as np
 
 from . import seeding
 from . import tensor as T
+from .dataio import DN_SCALE
 from .tensor import Tensor
 
 
@@ -196,10 +197,10 @@ def _attention(x: Tensor, state: ModelState, layer: int) -> Tensor:
     return T.attention(x, *params, n_heads=state.encoder.n_heads)
 
 
-def encoder_batch(series: Iterable[np.ndarray], dn_scale: float) -> np.ndarray:
+def encoder_batch(series: Iterable[np.ndarray]) -> np.ndarray:
     """The encoder's input: DN series (each n_bands x n_steps) as one
-    (N, n_steps, n_bands) batch divided by `dn_scale`."""
-    return np.stack([x.T for x in series]) / dn_scale
+    (N, n_steps, n_bands) batch of reflectance (divided by DN_SCALE)."""
+    return np.stack([x.T for x in series]) / DN_SCALE
 
 
 def encode(state: ModelState, batch) -> Tensor:

@@ -38,9 +38,9 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n_per_class_per_year < 1:
-            raise ValueError("n_per_class_per_year must be >= 1")
+            raise ValueError(f"n_per_class_per_year must be at least 1, got {self.n_per_class_per_year}")
         if not 0.0 <= self.cloud_prob <= 1.0:
-            raise ValueError("cloud_prob must lie in [0, 1]")
+            raise ValueError(f"cloud_prob must lie in [0, 1], got {self.cloud_prob}")
         for name in ("shift_steps", "amplitude_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -78,8 +78,7 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     seed: int = 0
-    finetune_mode: str = "full"  # "full" | "linear_probe"
-    dn_scale: float = 10000.0
+    finetune_mode: str = "full"  # "full" | "linear"
     collapse_warmup_epochs: int = 300
     collapse_threshold_factor: float = 0.25
     # threads of a pre-training step (1 runs the views serially); None: branch_threads().
@@ -87,12 +86,10 @@ class TrainConfig:
     branch_threads: int | None = None
 
     def __post_init__(self):
-        if self.finetune_mode not in ("full", "linear_probe"):
-            raise ValueError(f"unknown finetune_mode {self.finetune_mode!r}")
-        for name in ("lr", "dn_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.finetune_mode not in ("full", "linear"):
+            raise ValueError(f"finetune_mode must be full or linear, got {self.finetune_mode!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and at least 0, got {self.weight_decay}")
         if not 0 <= self.momentum < 1:
@@ -168,7 +165,7 @@ def _supervised_epochs(
 ) -> tuple[ModelState, TrainTrace]:
     """Cross-entropy epochs on `data`, updating `params` of `state` in place."""
     y0 = data.labels_array() - 1  # raises on unlabeled samples
-    X = M.encoder_batch((s.reflectance for s in data.samples), cfg.dn_scale)
+    X = M.encoder_batch(s.reflectance for s in data.samples)
     # params outside `params` are never updated, so a view made once stays current
     view = M.constant_view(state, keep=params)
 
@@ -197,22 +194,21 @@ def _make_pairs(
     indices: np.ndarray,
     aug: str,
     rng: np.random.Generator,
-    dn_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two views' encoder batches of the pairs drawn for `indices`, divided by
-    `dn_scale` in float64 and then rounded once to pre-training's float32."""
+    """The two views' encoder batches of the pairs drawn for `indices`, normalized
+    in float64 and then rounded once to pre-training's float32."""
     x1s, x2s = [], []
     for i in indices:
         sample = pool.samples[i]
         if aug == "aug2":
-            x1, x2 = sample.reflectance, aug2(sample.reflectance, rng, dn_scale)
+            x1, x2 = sample.reflectance, aug2(sample.reflectance, rng)
         elif aug == "aug1":
             x1, x2 = aug1_pair(pool, sample.label, rng)
         else:
             x1, x2 = aug3_pair(pool, sample.label, rng)
         x1s.append(x1)
         x2s.append(x2)
-    return tuple(M.encoder_batch(xs, dn_scale).astype(np.float32) for xs in (x1s, x2s))
+    return tuple(M.encoder_batch(xs).astype(np.float32) for xs in (x1s, x2s))
 
 
 def _siamese_step(pool: concurrent.futures.Executor | None, state: ModelState,
@@ -278,7 +274,7 @@ def pretrain(
     trace = TrainTrace(collapse=[])
     with blas.one_thread(), thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-view") as branch_pool:
         def step(idx):
-            x1, x2 = _make_pairs(pool, idx, aug, aug_rng, cfg.dn_scale)
+            x1, x2 = _make_pairs(pool, idx, aug, aug_rng)
             return _siamese_step(branch_pool, state, params, x1, x2)
 
         _sgd("pretrain", len(pool), params, cfg, cfg.epochs_pretrain, trace, step)
@@ -295,12 +291,12 @@ def finetune(
 ) -> tuple[ModelState, TrainTrace]:
     """Attach a fresh linear head to a copy of `backbone` and train it.
 
-    linear_probe updates only the head; full updates encoder and head.  The
+    linear updates only the head; full updates encoder and head.  The
     input state is never modified.
     """
     state = M.clone_state(backbone)
     M.attach_classifier(state, n_classes=N_CLASSES, seed=cfg.seed)
-    if cfg.finetune_mode == "linear_probe":
+    if cfg.finetune_mode == "linear":
         params = M.classifier_params(state)
     else:
         params = {**M.encoder_params(state), **M.classifier_params(state)}

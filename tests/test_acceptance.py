@@ -50,8 +50,8 @@ def criterion(number, label):
     print(f"[criterion {number:>2}] PASS  {label}", file=sys.__stdout__, flush=True)
 
 
-def batched_predict(state, dataset, dn=10000.0, batch=256):
-    X = M.encoder_batch((s.reflectance for s in dataset.samples), dn)
+def batched_predict(state, dataset, batch=256):
+    X = M.encoder_batch(s.reflectance for s in dataset.samples)
     return np.concatenate(
         [M.predict_classes(state, X, batch)]
     )
@@ -168,8 +168,8 @@ class TestCriterion4ContrastiveOracle:
             queries = make_dataset(n_per_class=4, years=(2017,), n_bands=4, n_steps=6, seed=4)
             dn = 10000.0
             assert len(queries) >= 20
-            preds, _ = E.contrastive_classify_batch(state, M.encoder_batch((s.reflectance for s in queries.samples[:20]), dn),
-                                                    E.embed_reference(state, reference, dn, 256), 256)
+            preds, _ = E.contrastive_classify_batch(state, M.encoder_batch(s.reflectance for s in queries.samples[:20]),
+                                                    E.embed_reference(state, reference, 256), 256)
             for sample, pred in zip(queries.samples[:20], preds, strict=True):
                 per_class = {}
                 for ref_sample in reference.samples:

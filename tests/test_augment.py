@@ -6,11 +6,8 @@ import pytest
 
 from sslcrop import augment
 from sslcrop.augment import InsufficientClassError, aug1_pair, aug2, aug3_pair
-from sslcrop.dataio import CropClass, Sample
+from sslcrop.dataio import DN_SCALE, CropClass, Sample
 from conftest import make_dataset
-
-
-DN_SCALE = 10000.0  # TrainConfig's default
 
 
 def pool_of(n_per_class, seed=0):
@@ -89,7 +86,7 @@ class TestAug2:
             rng = drift_branch_rng(seed)
             if rng is not None:
                 continue  # want the noise branch here
-            out = aug2(x, np.random.default_rng(seed), DN_SCALE)
+            out = aug2(x, np.random.default_rng(seed))
             assert np.array_equal(out, x)
 
     def test_drift_leaves_constant_band_unchanged(self):
@@ -100,7 +97,7 @@ class TestAug2:
             rng = drift_branch_rng(seed)
             if rng is None:
                 continue
-            out = aug2(x, rng, DN_SCALE)
+            out = aug2(x, rng)
             assert np.array_equal(out[0], x[0])  # zero range -> zero drift
             assert np.array_equal(out[2], x[2])
             hits += 1
@@ -114,7 +111,7 @@ class TestAug2:
             if rng is None:
                 continue
             x = rng_data.uniform(0, 8000, (3, 14))
-            out = aug2(x, rng, DN_SCALE)
+            out = aug2(x, rng)
             span = x.max(axis=1) - x.min(axis=1)
             assert (np.abs(out - x).max(axis=1) <= 0.1 * span + 1e-12).all()
             checked += 1
@@ -128,7 +125,7 @@ class TestAug2:
         for seed in range(40):
             if drift_branch_rng(seed) is not None:
                 continue
-            out = aug2(x, np.random.default_rng(seed), DN_SCALE)
+            out = aug2(x, np.random.default_rng(seed))
             diffs.append(out - x)
         sd = np.concatenate(diffs).std()
         assert abs(sd - 0.02 * 10000) < 10.0  # DN equivalent of scale=0.02
@@ -139,7 +136,7 @@ class TestAug2:
         noise_like = 0
         n = 400
         for _ in range(n):
-            out = aug2(x, rng, DN_SCALE)
+            out = aug2(x, rng)
             # drift keeps each band's first step fixed (curve anchored at zero)
             if not np.isclose(out[0, 0], x[0, 0]):
                 noise_like += 1
@@ -147,7 +144,7 @@ class TestAug2:
 
 
     def test_drift_equals_the_per_band_interp_loop(self, monkeypatch):
-        def loop_aug2(x, rng, dn_scale):  # one rng.uniform and np.interp per band
+        def loop_aug2(x, rng):  # one rng.uniform and np.interp per band
             x = np.asarray(x, dtype=np.float64)
             n_bands, n_steps = x.shape
             if rng.random() < 0.5:
@@ -163,7 +160,7 @@ class TestAug2:
                     if peak > 0.0 and band_range > 0.0:
                         out[b] += curve * (augment.DRIFT_MAX * band_range / peak)
                 return out
-            return x + rng.normal(0.0, augment.NOISE_SCALE * dn_scale, x.shape)
+            return x + rng.normal(0.0, augment.NOISE_SCALE * DN_SCALE, x.shape)
 
         data = np.random.default_rng(7)
         drifted = 0
@@ -173,7 +170,7 @@ class TestAug2:
                 x = data.uniform(0, 8000, (5, n_steps))
                 x[2] = 1500.0  # a constant band: no drift
                 new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                new, old = aug2(x, new_rng, DN_SCALE), loop_aug2(x, old_rng, DN_SCALE)
+                new, old = aug2(x, new_rng), loop_aug2(x, old_rng)
                 assert new.tobytes() == old.tobytes(), (drift_points, n_steps, seed)
                 assert new_rng.random() == old_rng.random()  # the stream is consumed alike
                 drifted += np.array_equal(new[:, 0], x[:, 0])  # drift keeps step 0

@@ -98,7 +98,7 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        for key, value in (("bogus", "1"), ("spike_both", "on")):  # spike_both: a removed key
+        for key, value in (("bogus", "1"), ("spike_both", "on"), ("dn_scale", "5000")):  # removed keys
             cfg.write_text(f"{key} = {value}\n")
             with pytest.raises(cli.ConfigError, match=re.escape(f"{cfg}:1: unknown key '{key}'")):
                 list(cli._config_entries(cfg))
@@ -127,6 +127,7 @@ class TestConfigFile:
         ("aug2_unlabeled_target = maybe", "aug2_unlabeled_target: cannot parse boolean"),
         ("e1_stratify = county", "e1_stratify: 'county' is not one of"),
         ("bands = B02,B99", "bands: unknown bands ['B99']"),
+        ("finetune_mode = linear_probe", "finetune_mode: 'linear_probe' is not one of full, linear"),
     ])
     def test_bad_value_fails_when_read_naming_where(self, tmp_path, line, message):
         cfg = tmp_path / "run.cfg"
@@ -204,7 +205,7 @@ class TestSettingsTable:
         as_text = dict(cli.DEFAULTS, seed="4", lr="0.5", synth_years="2017, 2018", bands="B02,B03",
                        finetune_mode="linear", max_depth="none", aug2_unlabeled_target="off", aug="aug3")
         values = dict(cli.DEFAULTS, seed=4, lr=0.5, synth_years=(2017, 2018), bands=("B02", "B03"),
-                      finetune_mode="linear_probe", aug2_unlabeled_target=False, aug="aug3")
+                      finetune_mode="linear", aug2_unlabeled_target=False, aug="aug3")
         for method in ("tf", "ssl"):
             assert (cli.settings_to_runconfig(as_text, method=method)
                     == cli.settings_to_runconfig(values, method=method))
@@ -602,7 +603,7 @@ class TestCommands:
         (["--lr", "nan"], "lr must be finite and positive, got nan"),
         (["--lr", "inf"], "lr must be finite and positive, got inf"),
         (["--lr", "0"], "lr must be finite and positive, got 0.0"),
-        (["--dn-scale", "nan"], "dn_scale must be finite and positive, got nan"),
+        (["--lr", "-1"], "lr must be finite and positive, got -1.0"),
         (["--weight-decay", "-0.1"], "weight_decay must be finite and at least 0, got -0.1"),
         (["--weight-decay", "inf"], "weight_decay must be finite and at least 0, got inf"),
         (["--momentum", "-1"], "momentum must lie in [0, 1), got -1.0"),
@@ -631,6 +632,8 @@ class TestCommands:
         (["--synth-shift-steps", "nan"], "shift_steps must be finite, got nan"),
         (["--synth-amplitude-scale", "inf"], "amplitude_scale must be finite, got inf"),
         (["--synth-years", "2016,2016"], "years must be non-empty without repeats, got (2016, 2016)"),
+        (["--synth-n", "0"], "n_per_class_per_year must be at least 1, got 0"),
+        (["--synth-cloud-prob", "1.5"], "cloud_prob must lie in [0, 1], got 1.5"),
     ])
     def test_bad_synthetic_setting_fails_naming_the_field(self, tmp_path, capsys, flags, message):
         csv = tmp_path / "synth.csv"

@@ -86,8 +86,8 @@ class TestContrastiveClassify:
             tuple(s for s in pool.samples if s.label is CropClass.CORN),
             pool.band_ids, pool.n_steps,
         )
-        x1 = M.encoder_batch([pool.samples[-1].reflectance], 10000.0)  # a potato sample
-        preds, losses = E.contrastive_classify_batch(state, x1, E.embed_reference(state, corn_only, 10000.0, 2), 2)
+        x1 = M.encoder_batch([pool.samples[-1].reflectance])  # a potato sample
+        preds, losses = E.contrastive_classify_batch(state, x1, E.embed_reference(state, corn_only, 2), 2)
         assert preds.tolist() == [1]
         assert losses.shape == (1, 1)
 
@@ -97,9 +97,9 @@ class TestContrastiveClassify:
         x = pool.samples[0].reflectance
         reference = Dataset((Sample("r4", 2016, CropClass.SUGAR_BEET, x),
                              Sample("r2", 2016, CropClass.WINTER_BARLEY, x)), pool.band_ids, pool.n_steps)
-        queries = M.encoder_batch((s.reflectance for s in pool.samples), 10000.0)
+        queries = M.encoder_batch(s.reflectance for s in pool.samples)
         preds, losses = E.contrastive_classify_batch(
-            state, queries, E.embed_reference(state, reference, 10000.0, 2), 4)
+            state, queries, E.embed_reference(state, reference, 2), 4)
         assert np.array_equal(losses[:, 0], losses[:, 1])  # classes 2 and 4, identical series
         assert preds.tolist() == [2] * len(pool)
 
@@ -108,8 +108,8 @@ class TestContrastiveClassify:
         reference = make_dataset(n_per_class=5, years=(2016,), n_bands=3, n_steps=5, seed=3)
         queries = make_dataset(n_per_class=4, years=(2017,), n_bands=3, n_steps=5, seed=4)
         dn = 10000.0
-        preds, _ = E.contrastive_classify_batch(state, M.encoder_batch((s.reflectance for s in queries.samples[:20]), dn),
-                                                E.embed_reference(state, reference, dn, 7), 7)
+        preds, _ = E.contrastive_classify_batch(state, M.encoder_batch(s.reflectance for s in queries.samples[:20]),
+                                                E.embed_reference(state, reference, 7), 7)
         for sample, pred in zip(queries.samples[:20], preds, strict=True):
             per_class: dict[int, list[float]] = {}
             for ref_sample in reference.samples:
@@ -132,9 +132,9 @@ class TestContrastiveClassify:
             reference.band_ids, reference.n_steps,
         )
         query = make_dataset(n_per_class=1, years=(2017,), n_bands=3, n_steps=5, seed=6).samples[0]
-        query = M.encoder_batch([query.reflectance], 10000.0)
-        (a,), (la,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, reference, 10000.0, 256), 256)
-        (b,), (lb,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, shuffled, 10000.0, 256), 256)
+        query = M.encoder_batch([query.reflectance])
+        (a,), (la,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, reference, 256), 256)
+        (b,), (lb,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, shuffled, 256), 256)
         assert a == b
         assert np.abs(la - lb).max() < 1e-12
 
@@ -146,7 +146,7 @@ class TestContrastiveClassify:
             pool.band_ids, pool.n_steps,
         )
         with pytest.raises(ValueError):
-            E.embed_reference(state, stripped, 10000.0, 256)
+            E.embed_reference(state, stripped, 256)
 
 
 class TestPca:

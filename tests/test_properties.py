@@ -145,7 +145,7 @@ class TestPairPolicies:
         # patched per example: a function-scoped monkeypatch fails hypothesis's health check
         with mock.patch.object(augment, "DRIFT_MAX", drift_max), \
                 mock.patch.object(augment, "DRIFT_POINTS", drift_points):
-            out = aug2(x, np.random.default_rng(seed), 10000.0)
+            out = aug2(x, np.random.default_rng(seed))
         assert out.shape == x.shape and out.dtype == np.float64 and np.all(np.isfinite(out))
         if drift:  # zero at both ends, and within drift_max of each band's range
             band_range = x.max(axis=1) - x.min(axis=1)

@@ -32,8 +32,8 @@ def two_blob_dataset(n_per_class=6, seed=0):
     return Dataset(tuple(samples), CANONICAL_BANDS[:4], 6)
 
 
-def train_accuracy(state, dataset, dn_scale=10000.0):
-    pred = M.predict_classes(state, M.encoder_batch((s.reflectance for s in dataset.samples), dn_scale))
+def train_accuracy(state, dataset):
+    pred = M.predict_classes(state, M.encoder_batch(s.reflectance for s in dataset.samples))
     return (pred == dataset.labels_array()).mean()
 
 
@@ -48,7 +48,7 @@ class TestTrainSupervised:
     def test_initial_loss_matches_uniform_logit_oracle(self):
         d = make_dataset(n_per_class=8, years=(2016,), n_bands=4, n_steps=6, seed=1)
         state = M.init_model(TINY_ENC, SimSiamConfig(), n_classes=6, seed=0)
-        X = M.encoder_batch((s.reflectance for s in d.samples), 10000.0)
+        X = M.encoder_batch(s.reflectance for s in d.samples)
         loss = T.cross_entropy(M.classify(state, X), d.labels_array() - 1).item()
         assert abs(loss - math.log(6)) < 0.2
 
@@ -109,11 +109,10 @@ class TestPretrain:
         with pytest.raises(ValueError, match="unknown augmentation kind 'augX'"):
             pretrain(d, "augX", TrainConfig(epochs_pretrain=1), TINY_ENC)
 
-    @pytest.mark.parametrize("dn_scale", [10000.0, 5000.0])
-    def test_aug2_noise_is_noise_scale_on_the_normalized_scale(self, dn_scale):
+    def test_aug2_noise_is_noise_scale_on_the_normalized_scale(self):
         # the noise branch of a pair moves every step; the drift branch keeps step 0
         d = make_dataset(n_per_class=10, years=(2016, 2017), n_bands=4, n_steps=14, seed=21)
-        x1, x2 = _make_pairs(d, np.arange(len(d)), "aug2", np.random.default_rng(5), dn_scale)
+        x1, x2 = _make_pairs(d, np.arange(len(d)), "aug2", np.random.default_rng(5))
         diff = x2.astype(np.float64) - x1  # batch x steps x bands
         noisy = np.any(diff[:, 0, :] != 0.0, axis=1)
         assert 40 < noisy.sum() < 200
@@ -173,7 +172,7 @@ def serial_pretrain(pool, aug, cfg, encoder, simsiam):
             total, z_parts = 0.0, []
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                x1, x2 = _make_pairs(pool, idx, aug, aug_rng, cfg.dn_scale)
+                x1, x2 = _make_pairs(pool, idx, aug, aug_rng)
                 loss, z1, _ = M.simsiam_forward(state, x1, x2)
                 grads = T.gradients(loss, params)
                 T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
@@ -277,12 +276,16 @@ class TestPrecision:
 
 
 class TestFinetune:
+    def test_mode_is_full_or_linear(self):
+        with pytest.raises(ValueError, match="finetune_mode must be full or linear, got 'linear_probe'"):
+            TrainConfig(finetune_mode="linear_probe")
+
     def test_linear_probe_leaves_backbone_bitwise_unchanged(self):
         d = two_blob_dataset(4)
         backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=1)
         before = {k: p.data.copy() for k, p in backbone.params.items()}
         cfg = TrainConfig(lr=0.05, batch_size=4, epochs_finetune=20, seed=2,
-                          finetune_mode="linear_probe")
+                          finetune_mode="linear")
         tuned, _ = finetune(backbone, d, cfg)
         for k, v in before.items():
             assert np.array_equal(backbone.params[k].data, v)
@@ -292,7 +295,7 @@ class TestFinetune:
         d = two_blob_dataset(6)
         backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=3)
         cfg = TrainConfig(lr=0.1, batch_size=8, epochs_finetune=150, seed=4,
-                          finetune_mode="linear_probe")
+                          finetune_mode="linear")
         tuned, _ = finetune(backbone, d, cfg)
         assert train_accuracy(tuned, d) == 1.0
 
@@ -300,19 +303,19 @@ class TestFinetune:
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=11)
         backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=5)
         cfg_full = TrainConfig(epochs_finetune=0, seed=6, finetune_mode="full")
-        cfg_probe = TrainConfig(epochs_finetune=0, seed=6, finetune_mode="linear_probe")
+        cfg_probe = TrainConfig(epochs_finetune=0, seed=6, finetune_mode="linear")
         a, _ = finetune(backbone, d, cfg_full)
         b, _ = finetune(backbone, d, cfg_probe)
-        X = M.encoder_batch((s.reflectance for s in d.samples), 10000.0)
+        X = M.encoder_batch(s.reflectance for s in d.samples)
         assert np.array_equal(M.classify(a, X).data, M.classify(b, X).data)
 
     def test_initial_loss_identical_for_both_modes(self):
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=12)
         backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=7)
-        X = M.encoder_batch((s.reflectance for s in d.samples), 10000.0)
+        X = M.encoder_batch(s.reflectance for s in d.samples)
         y0 = d.labels_array() - 1
         losses = []
-        for mode in ("full", "linear_probe"):
+        for mode in ("full", "linear"):
             cfg = TrainConfig(epochs_finetune=0, seed=8, finetune_mode=mode)
             tuned, _ = finetune(backbone, d, cfg)
             losses.append(T.cross_entropy(M.classify(tuned, X), y0).item())
@@ -323,14 +326,14 @@ class TestFinetune:
         d = make_dataset(n_per_class=3, years=(2016,), n_bands=4, n_steps=6, seed=13)
         backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=9)
         cfg = TrainConfig(lr=0.05, batch_size=4, epochs_finetune=4, seed=10,
-                          finetune_mode="linear_probe")
+                          finetune_mode="linear")
         tuned, trace = finetune(backbone, d, cfg)
 
         # the reference: classify on the state itself, taping the whole encoder
         ref = M.clone_state(backbone)
         M.attach_classifier(ref, n_classes=6, seed=cfg.seed)
         params = M.classifier_params(ref)
-        X, y0 = M.encoder_batch((s.reflectance for s in d.samples), cfg.dn_scale), d.labels_array() - 1
+        X, y0 = M.encoder_batch(s.reflectance for s in d.samples), d.labels_array() - 1
         losses, momentum = [], {}
         for epoch in range(cfg.epochs_finetune):
             order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(len(X))
@@ -345,7 +348,7 @@ class TestFinetune:
         assert trace.losses == losses
         assert M.checkpoint_text(tuned) == M.checkpoint_text(ref)
 
-    @pytest.mark.parametrize("mode", ["linear_probe", "full"])
+    @pytest.mark.parametrize("mode", ["linear", "full"])
     def test_backward_reaches_only_the_trained_params(self, mode, monkeypatch):
         reached = []
 
