@@ -2,9 +2,11 @@
 
 The encoder embeds each time step of a band series, adds sinusoidal
 positions, runs post-norm self-attention blocks and max-pools over time.
-On the tape that is one `embed` node, then per layer `layer_norm(attention)`
-and `layer_norm(feed_forward)`, then `max_axis`; the fused nodes keep only
-what their backward reads, which is what a pre-training step holds.
+On the tape that is one `embed` node, then per layer an `attention` and a
+`feed_forward` node, each ending with its layer norm, then `max_axis`; the
+fused nodes keep only what their backward reads and rebuild what one product
+gives back (the attention context, the feed-forward hidden layer), which is
+what a pre-training step holds.
 On top of it sit a projector and predictor MLP for the two-branch
 pre-training loss (negative cosine with a stopped gradient on the target
 branch), an optional linear classification head, and the collapse monitor
@@ -191,12 +193,6 @@ def _linear(x: Tensor, state: ModelState, name: str) -> Tensor:
     return T.linear(x, state.params[f"{name}.w"], state.params[f"{name}.b"])
 
 
-def _attention(x: Tensor, state: ModelState, layer: int) -> Tensor:
-    """x plus the layer's self-attention (the residual branch before ln1)."""
-    params = [state.params[f"enc{layer}.attn.{proj}.{part}"] for proj in "qkvo" for part in "wb"]
-    return T.attention(x, *params, n_heads=state.encoder.n_heads)
-
-
 def encoder_batch(series: Iterable[np.ndarray]) -> np.ndarray:
     """The encoder's input: DN series (each n_bands x n_steps) as one
     (N, n_steps, n_bands) batch of reflectance (divided by DN_SCALE)."""
@@ -217,9 +213,10 @@ def encode(state: ModelState, batch) -> Tensor:
     # drowned out by the unit-magnitude positional encodings
     x = T.embed(x, p["embed.w"], p["embed.b"], math.sqrt(cfg.d_model), state.pos)
     for i in range(cfg.n_layers):
-        x = T.layer_norm(_attention(x, state, i), p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
+        attn = [p[f"enc{i}.attn.{proj}.{part}"] for proj in "qkvo" for part in "wb"]
+        x = T.attention(x, *attn, p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"], n_heads=cfg.n_heads)
         ff = [p[f"enc{i}.{name}.{part}"] for name in ("ff1", "ff2") for part in "wb"]
-        x = T.layer_norm(T.feed_forward(x, *ff), p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
+        x = T.feed_forward(x, *ff, p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
     return T.max_axis(x, axis=1)
 
 

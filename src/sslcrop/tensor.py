@@ -29,11 +29,14 @@ updates in float32; one float64 array would widen the rest of the pass and
 take it off the float32 BLAS kernels.  Broadcasting is restricted to
 last-axis bias/gain addition and the positional table of `embed`, so every
 backward rule stays easy to audit.  The encoder's blocks are single nodes
-(`embed`, `attention`, `feed_forward`, and `linear` for a dense layer).  A
-node's backward rule closes over only the arrays it reads, so an intermediate
-such as the feed-forward pre-activation is not kept alive for the backward
-pass.  Each fused node computes and sums in the order of the separate
-nodes it replaces, so its results are bitwise theirs.
+(`embed`, `attention` and `feed_forward`, the last two ending with their layer
+norm, and `linear` for a dense layer).  A node's backward rule closes over only
+the arrays it reads, so an intermediate such as the feed-forward pre-activation
+is not kept alive for the backward pass, and an array that one product gives
+back (the attention context, the feed-forward hidden layer) is rebuilt there
+instead of kept.  A block normalises its pre-norm output in place.  Each fused
+node computes and sums in the order of the separate nodes it replaces, so its
+results are bitwise theirs.
 """
 
 from __future__ import annotations
@@ -156,47 +159,82 @@ def embed(x: Tensor, w: Tensor, b: Tensor, c: float, pos: np.ndarray) -> Tensor:
     return _op(out, (x, w, b), backward)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """x + relu(x @ w1 + b1) @ w2 + b2 over the last axis of x, as one node.  The
-    rectifier runs in place on the first product, so the pre-activation never exists
-    as its own array; the backward keeps x, the hidden layer h and takes the mask
-    from h.  Products and sums are those of linear -> relu -> linear -> add, so
-    results are bitwise theirs (x's gradient is g + gm @ w1.T, the tape's order)."""
-    d = x.shape[-1]
-    if w1.data.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] \
-            or w2.shape != (w1.shape[1], d) or b2.shape != (d,):
-        raise ShapeMismatch(f"feed_forward needs x (..., d), w1 (d, f), b1 (f,), w2 (f, d), b2 (d,), "
-                            f"got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
-    x2 = x.data.reshape(-1, d)
-    h = x2 @ w1.data
-    h += b1.data
+def _hidden(x2: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """relu(x2 @ w1 + b1), the rectifier in place on the product, as in linear -> relu."""
+    h = x2 @ w1
+    h += b1
     np.fmax(h, 0.0, out=h)  # as in relu: NaN -> 0,
     h += 0.0  # and -0.0 -> +0.0
-    out = h @ w2.data
-    out += b2.data
-    np.add(x2, out, out=out)  # x first, as add(x, ff): NaN operands keep their order
+    return h
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """layer_norm(x + relu(x @ w1 + b1) @ w2 + b2) over the last axis of x, with the
+    layer norm's gain and bias, as one node.  The node keeps x, the normalised xhat
+    and 1/std: the hidden layer h is rebuilt in the backward (one gemm) and freed
+    after its last product, and the pre-norm sum is normalised in place.  Products
+    and sums are those of linear -> relu -> linear -> add -> layer_norm, so results
+    are bitwise theirs (x's gradient is g + gm @ w1.T, the tape's order)."""
+    d = x.shape[-1]
+    if w1.data.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] \
+            or w2.shape != (w1.shape[1], d) or any(p.shape != (d,) for p in (b2, gain, bias)):
+        raise ShapeMismatch(f"feed_forward needs x (..., d), w1 (d, f), b1 (f,), w2 (f, d), b2, gain, bias (d,), "
+                            f"got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}, "
+                            f"{gain.shape}, {bias.shape}")
+    x2 = x.data.reshape(-1, d)
+    y = _hidden(x2, w1.data, b1.data) @ w2.data
+    y += b2.data
+    np.add(x2, y, out=y)  # x first, as add(x, ff): NaN operands keep their order
+    out, xhat, inv = _normalize(y, gain, bias, _EPS, -1)[:3]  # y becomes xhat
 
     def backward(g):
-        g2 = g.reshape(-1, d)
+        g2, g_gain, g_bias = _normalize_backward(g.reshape(-1, d), xhat, inv, gain, -1)
+        h = _hidden(x2, w1.data, b1.data)
+        g_w2 = h.T @ g2
+        mask = h > 0.0  # exactly where the pre-activation is > 0
+        del h
         gm = g2 @ w2.data.T
-        gm *= h > 0.0  # h > 0 exactly where the pre-activation is > 0
-        gx = g + (gm @ w1.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, x2.T @ gm, gm.sum(axis=0), h.T @ g2, g2.sum(axis=0)
+        gm *= mask
+        gx = (g2 + gm @ w1.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, x2.T @ gm, gm.sum(axis=0), g_w2, g2.sum(axis=0), g_gain, g_bias
 
-    return _op(out.reshape(x.shape), (x, w1, b1, w2, b2), backward)
+    return _op(out.reshape(x.shape), (x, w1, b1, w2, b2, gain, bias), backward)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True) as np.maximum over the last axis's columns in
+    turn: numpy reduces a short last axis about 10x slower.  The bits are max's,
+    ±0, ±inf and the quiet NaN included; a NaN with another sign or payload may
+    come out as itself where max gives the quiet NaN."""
+    m = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j : j + 1], out=m)
+    return m
+
+
+def _context(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """p @ v of the heads (B, h, t, t) @ (B, h, t, dh), laid out as (B * t, h * dh)."""
+    b, n_heads, t, dh = v.shape
+    ctx = np.empty((b * t, n_heads * dh), dtype=p.dtype)
+    np.matmul(p, v, out=ctx.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3))
+    return ctx
 
 
 def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
-    """x plus multi-head self-attention of (B, t, d) over t (the output projection and
-    the residual included), as one node; `params` are wq, bq, wk, bk, wv, bv, wo, bo.
-    q, k and v come from one (d, 3d) gemm and the heads are strided views of it.
-    The backward forms and sums each product in the order separate matmul/linear
-    nodes would (x's gradient as ((residual + q) + k) + v), so results are bitwise
-    those of the unfused graph."""
+    """layer_norm(x plus multi-head self-attention of (B, t, d) over t) as one node, the
+    output projection and the residual included; `params` are wq, bq, wk, bk, wv, bv,
+    wo, bo and the layer norm's gain and bias.  q, k and v come from one (d, 3d) gemm
+    and the heads are strided views of it.  The node keeps x, q, k, v, the attention
+    weights p, the normalised xhat and 1/std: ctx = p @ v is rebuilt in the backward,
+    and the pre-norm sum is normalised in place.  The backward forms and sums each
+    product in the order separate matmul/linear/layer_norm nodes would (x's gradient
+    as ((residual + q) + k) + v), so results are bitwise those of the unfused graph."""
     b, t, d = x.shape
-    wq, bq, wk, bk, wv, bv, wo, bo = params
-    if d % n_heads or any(p.shape != (d, d) for p in params[::2]) or any(p.shape != (d,) for p in params[1::2]):
-        raise ShapeMismatch(f"attention on {x.shape} needs (d, d) weights, (d,) biases, d % n_heads == 0")
+    if len(params) != 10 or d % n_heads or any(p.shape != (d, d) for p in params[:8:2]) \
+            or any(p.shape != (d,) for p in params[1::2] + params[8:9]):
+        raise ShapeMismatch(f"attention on {x.shape} needs (d, d) weights, (d,) biases, gain and bias, "
+                            f"d % n_heads == 0")
+    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = params
     dh = d // n_heads
     c = 1.0 / math.sqrt(dh)
     x2 = x.data.reshape(-1, d)
@@ -205,17 +243,17 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
     q, k, v = qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)  # each (B, h, t, dh)
     p = q @ k.swapaxes(-1, -2)
     p *= c
-    p -= p.max(axis=-1, keepdims=True)
+    p -= _row_max(p)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.empty((b * t, d), dtype=p.dtype)
-    np.matmul(p, v, out=ctx.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3))
-    out = ctx @ wo.data
-    out += bo.data
-    out += x2
+    y = _context(p, v) @ wo.data
+    y += bo.data
+    y += x2
+    out, xhat, inv = _normalize(y, gain, bias, _EPS, -1)[:3]  # y becomes xhat
 
     def backward(g):
-        g2 = g.reshape(-1, d)
+        g2, g_gain, g_bias = _normalize_backward(g.reshape(-1, d), xhat, inv, gain, -1)
+        g_wo = _context(p, v).T @ g2
         g_ctx = (g2 @ wo.data.T).reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
         g_qkv = np.empty((b * t, 3 * d), dtype=g_ctx.dtype)
         gq, gk, gv = g_qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
@@ -231,7 +269,7 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
             g_proj = g_qkv[:, i * d : (i + 1) * d]
             gx = gx + g_proj @ w.data.T
             grads += [x2.T @ g_proj, g_proj.sum(axis=0)]
-        return (gx.reshape(x.shape), *grads, ctx.T @ g2, g2.sum(axis=0))
+        return (gx.reshape(x.shape), *grads, g_wo, g2.sum(axis=0), g_gain, g_bias)
 
     return _op(out.reshape(x.shape), (x, *params), backward)
 
@@ -242,44 +280,41 @@ def relu(a: Tensor) -> Tensor:
     return _op(out, (a,), lambda g: (g * (out > 0.0),))  # out > 0 exactly where a > 0
 
 
-def _normalize(a: Tensor, gain: Tensor, bias: Tensor, eps: float, axis: int):
-    """Standardise along `axis`, then apply a per-feature (last axis) gain and bias."""
-    d = a.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatch(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    # the arithmetic of centered = a - mean, xhat = centered * inv, xhat * gain + bias,
-    # evaluated in place: a large array per result instead of one per operation
-    mean = a.data.mean(axis=axis, keepdims=True)
-    xhat = a.data - mean
+_EPS = 1e-5  # added to the variance by layer and batch norm
+
+
+def _normalize(y: np.ndarray, gain: Tensor, bias: Tensor, eps: float, axis: int):
+    """Standardise y along `axis`, then apply a per-feature (last axis) gain and bias.
+    y is overwritten with xhat; returns the result, xhat, 1/std and the mean and
+    variance."""
+    # the arithmetic of centered = y - mean, xhat = centered * inv, xhat * gain + bias,
+    # evaluated in place: one new large array, the result
+    mean = y.mean(axis=axis, keepdims=True)
+    xhat = np.subtract(y, mean, out=y)
     out = xhat * xhat
     var = out.mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
-
-    def backward(g):
-        # inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)), gx_hat = g * gain
-        gx = g * gain.data
-        tmp = gx * xhat
-        m2 = tmp.mean(axis=axis, keepdims=True)
-        gx -= gx.mean(axis=axis, keepdims=True)
-        gx -= np.multiply(xhat, m2, out=tmp)
-        np.multiply(inv, gx, out=gx)  # inv first, as written above: NaN operands keep their order
-        np.multiply(g, xhat, out=tmp)
-        return gx, tmp.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
-
-    return _op(out, (a, gain, bias), backward), mean, var
+    return out, xhat, inv, mean, var
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to mean 0 / variance 1, then apply gain and bias."""
-    return _normalize(a, gain, bias, eps, axis=-1)[0]
+def _normalize_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor, axis: int):
+    """The gradients of y, gain and bias of `_normalize` from its result's gradient g."""
+    # inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)), gx_hat = g * gain
+    d = xhat.shape[-1]
+    gx = g * gain.data
+    tmp = gx * xhat
+    m2 = tmp.mean(axis=axis, keepdims=True)
+    gx -= gx.mean(axis=axis, keepdims=True)
+    gx -= np.multiply(xhat, m2, out=tmp)
+    np.multiply(inv, gx, out=gx)  # inv first, as written above: NaN operands keep their order
+    np.multiply(g, xhat, out=tmp)
+    return gx, tmp.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
-def batch_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def batch_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _EPS) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalise each column over the batch axis (2-D input), then affine.
 
     Returns the output plus the batch mean/variance so the caller can keep
@@ -287,12 +322,18 @@ def batch_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> tupl
     """
     if a.data.ndim != 2:
         raise ShapeMismatch(f"batch_norm expects a 2-D batch, got {a.shape}")
-    out, mean, var = _normalize(a, gain, bias, eps, axis=0)
-    return out, mean[0], var[0]
+    d = a.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeMismatch(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    out, xhat, inv, mean, var = _normalize(a.data.copy(), gain, bias, eps, 0)
+    backward = lambda g: _normalize_backward(g, xhat, inv, gain, 0)
+    return _op(out, (a, gain, bias), backward), mean[0], var[0]
 
 
 def batch_norm_eval(a: Tensor, gain: Tensor, bias: Tensor, mean: np.ndarray, var: np.ndarray,
-                    eps: float = 1e-5) -> Tensor:
+                    eps: float = _EPS) -> Tensor:
     """Affine normalisation against fixed (running) statistics; inference only.
 
     It has no backward rule: a pass that reaches it with a gradient raises.

@@ -9,6 +9,7 @@ from sslcrop import model as M
 from sslcrop import tensor as T
 from sslcrop.model import EncoderConfig, SimSiamConfig
 from sslcrop.tensor import Tensor
+import reference_ops as R
 
 
 def tiny_state(seed=0, n_bands=3, n_steps=5, d_model=8, n_heads=2, n_layers=1,
@@ -385,21 +386,26 @@ class TestMemory:
     @staticmethod
     def unfused_encode(state, batch):
         """`M.encode` with the embedding and feed-forward blocks as the separate
-        linear, scale, add and relu nodes they fuse."""
+        linear, scale, add and relu nodes they fuse, and each layer norm as a node
+        of its own after an attention node that keeps its context."""
         cfg, p = state.encoder, state.params
         x = T.scale(T.linear(Tensor(batch), p["embed.w"], p["embed.b"]), math.sqrt(cfg.d_model))
         x = T.add(x, Tensor(np.ascontiguousarray(np.broadcast_to(state.pos, x.shape))))
         for i in range(cfg.n_layers):
-            x = T.layer_norm(M._attention(x, state, i), p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
+            attn = [p[f"enc{i}.attn.{proj}.{part}"] for proj in "qkvo" for part in "wb"]
+            x = R.layer_norm(R.attention(x, *attn, n_heads=cfg.n_heads), p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
             hidden = T.relu(T.linear(x, p[f"enc{i}.ff1.w"], p[f"enc{i}.ff1.b"]))
             x = T.add(x, T.linear(hidden, p[f"enc{i}.ff2.w"], p[f"enc{i}.ff2.b"]))
-            x = T.layer_norm(x, p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
+            x = R.layer_norm(x, p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
         return T.max_axis(x, axis=1)
 
     def test_tape_drops_the_arrays_backward_never_reads(self):
         """The fused tape holds less than the unfused one by at least the arrays no
         backward reads (the FF1 pre-activation and the FF2 output, per layer and
-        view), and gives bitwise the same loss and gradients."""
+        view), and by those plus the arrays the fused backward rebuilds or overwrites
+        (both blocks' pre-norm outputs, the attention context and the feed-forward
+        hidden layer) and the unfused embedding's product, scaled product and
+        broadcast positions, and gives bitwise the same loss and gradients."""
         enc, b = EncoderConfig(n_bands=13, n_steps=14), 64
         rng = np.random.default_rng(0)
         x1, x2 = rng.normal(0.2, 0.1, (b, 14, 13)), rng.normal(0.2, 0.1, (b, 14, 13))
@@ -417,6 +423,9 @@ class TestMemory:
             results[name] = loss.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}
         dead = enc.n_layers * 2 * b * enc.n_steps * (enc.ff_dim + enc.d_model) * 8
         assert held["unfused"] - held["fused"] >= dead, (held, dead)
+        rebuilt = enc.n_layers * 2 * b * enc.n_steps * (3 * enc.d_model + enc.ff_dim) * 8
+        embedding = 2 * b * enc.n_steps * 3 * enc.d_model * 8
+        assert held["unfused"] - held["fused"] >= dead + rebuilt + embedding, (held, dead, rebuilt, embedding)
         assert results["fused"] == results["unfused"]
 
 

@@ -1,4 +1,6 @@
 import concurrent.futures
+import itertools
+import math
 import re
 import threading
 
@@ -81,19 +83,27 @@ class TestSoftmax:
         assert np.abs(out.sum(axis=1) - 1).max() < 1e-12
 
 
+def layer_norm(x, eps=1e-5):
+    """The standardisation the attention and feed-forward nodes end with, on a copy of
+    x, with unit gain and zero bias."""
+    x = np.array(x, dtype=np.float64)
+    d = x.shape[-1]
+    return T._normalize(x, Tensor(np.ones(d)), Tensor(np.zeros(d)), eps, -1)[0]
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
-        out = T.layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
-        assert np.abs(out.data).max() < 1e-9
+        out = layer_norm([[4.0, 4.0, 4.0]])
+        assert np.abs(out).max() < 1e-9
 
     def test_two_point_standardization(self):
-        out = T.layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-15)
-        assert np.abs(out.data - [[-1.0, 1.0]]).max() < 1e-6
+        out = layer_norm([[1.0, 3.0]], eps=1e-15)
+        assert np.abs(out - [[-1.0, 1.0]]).max() < 1e-6
 
     def test_against_direct_formula(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 8)) * 4
-        out = T.layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)), eps=1e-10).data
+        out = layer_norm(x, eps=1e-10)
         assert np.abs(out.mean(axis=1)).max() < 1e-9
         assert np.abs(out.var(axis=1) - 1).max() < 1e-9
         direct = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-10)
@@ -144,7 +154,7 @@ class TestBackward:
 
         def loss():
             h = T.relu(R.add_bias(R.matmul(x, p["w1"]), p["b1"]))
-            y = T.layer_norm(R.matmul(h, p["w2"]), p["gain"], p["bias"])
+            y = T.batch_norm(R.matmul(h, p["w2"]), p["gain"], p["bias"])[0]
             y = T.l2_normalize(R.softmax_rows(y))
             return T.mean_all(T.sum_last(T.mul(y, target)))
 
@@ -225,7 +235,7 @@ class TestL2Normalize:
 
 class TestFusedNodes:
     """The fused nodes against central differences, like the composite check, and
-    embed and feed_forward bitwise against the graphs they replace."""
+    bitwise against the graphs they replace."""
 
     def check(self, p, loss):
         grads = T.gradients(loss(), p)
@@ -252,40 +262,60 @@ class TestFusedNodes:
             x=rng.normal(size=(2, 5, d)),
             **{f"w{c}": rng.normal(size=(d, d)) for c in "qkvo"},
             **{f"b{c}": rng.normal(size=d) for c in "qkvo"},
+            gain=rng.normal(size=d) + 1.5,
+            bias=rng.normal(size=d),
         )
         target = Tensor(rng.normal(size=(2, 5, d)))
 
         def loss():
             params = [p[f"{kind}{c}"] for c in "qkvo" for kind in "wb"]
-            return R.sum_all(T.mul(T.attention(p["x"], *params, n_heads=2), target))
+            return R.sum_all(T.mul(T.attention(p["x"], *params, p["gain"], p["bias"], n_heads=2), target))
 
         self.check(p, loss)
 
     @staticmethod
     def node_params(node, rng, b=2, t=3, k=4, f=5, values=None):
-        """Inputs of `node` (x first), each drawn by values(shape) (normal draws by default)."""
-        values = values or (lambda shape: rng.normal(size=shape))
+        """Inputs of `node` (x first), each drawn by values(name, shape) (normal draws
+        by default)."""
+        values = values or (lambda name, shape: rng.normal(size=shape))
         if node == "embed":
             shapes = {"x": (b, t, k), "w": (k, f), "b": (f,)}
+        elif node == "feed_forward":
+            shapes = {"x": (b, t, k), "w1": (k, f), "b1": (f,), "w2": (f, k), "b2": (k,), "gain": (k,), "bias": (k,)}
         else:
-            shapes = {"x": (b, t, k), "w1": (k, f), "b1": (f,), "w2": (f, k), "b2": (k,)}
-        return params_of(**{name: values(shape) for name, shape in shapes.items()})
+            shapes = {"x": (b, t, k), **{f"{kind}{c}": (k, k)[kind == "b":] for c in "qkvo" for kind in "wb"},
+                      "gain": (k,), "bias": (k,)}
+        return params_of(**{name: values(name, shape) for name, shape in shapes.items()})
 
     @staticmethod
-    def fused(node, p, pos):
+    def attention_params(p):
+        """wq, bq, ..., wo, bo, and a head count that divides d."""
+        return [p[f"{kind}{c}"] for c in "qkvo" for kind in "wb"], math.gcd(p["x"].shape[-1], 4)
+
+    @classmethod
+    def fused(cls, node, p, pos):
         if node == "embed":
             return T.embed(p["x"], p["w"], p["b"], 1.5, pos)
-        return T.feed_forward(p["x"], p["w1"], p["b1"], p["w2"], p["b2"])
+        if node == "feed_forward":
+            return T.feed_forward(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], p["gain"], p["bias"])
+        params, heads = cls.attention_params(p)
+        return T.attention(p["x"], *params, p["gain"], p["bias"], n_heads=heads)
 
-    @staticmethod
-    def unfused(node, p, pos):
-        """The graphs the fused nodes replace: linear -> scale -> add(pos), and
-        linear -> relu -> linear -> add."""
+    @classmethod
+    def unfused(cls, node, p, pos):
+        """The graphs the fused nodes replace: linear -> scale -> add(pos); linear ->
+        relu -> linear -> add -> layer_norm; attention as one node that keeps its
+        context -> layer_norm."""
         if node == "embed":
             y = T.scale(T.linear(p["x"], p["w"], p["b"]), 1.5)
             return T.add(y, Tensor(np.ascontiguousarray(np.broadcast_to(pos, y.shape))))
-        hidden = T.relu(T.linear(p["x"], p["w1"], p["b1"]))
-        return T.add(p["x"], T.linear(hidden, p["w2"], p["b2"]))
+        if node == "feed_forward":
+            hidden = T.relu(T.linear(p["x"], p["w1"], p["b1"]))
+            y = T.add(p["x"], T.linear(hidden, p["w2"], p["b2"]))
+        else:
+            params, heads = cls.attention_params(p)
+            y = R.attention(p["x"], *params, n_heads=heads)
+        return R.layer_norm(y, p["gain"], p["bias"])
 
     @pytest.mark.parametrize("node", ["embed", "feed_forward"])
     @pytest.mark.parametrize("seed", range(2))
@@ -297,17 +327,25 @@ class TestFusedNodes:
         self.check(p, lambda: R.sum_all(T.mul(self.fused(node, p, pos), target)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("node", ["embed", "feed_forward"])
+    @pytest.mark.parametrize("node", ["embed", "feed_forward", "attention"])
     @pytest.mark.parametrize("b, t, k, f", [(5, 7, 13, 37), (16, 14, 64, 256)])
     def test_embed_and_feed_forward_bitwise_equal_the_unfused_graph(self, node, b, t, k, f):
-        """-0.0, +-inf and NaN in x, the weights and the incoming gradient, all read-only."""
+        """-0.0, +-inf and NaN in x, the weights and the incoming gradient, all read-only.
+        Attention mixes every token of a series, and one special in a projection weight
+        makes every score NaN, so there the specials sit in one token of every other
+        series (a different token each), in x and in the gradient."""
         rng = np.random.default_rng(b + f)
-        draw = lambda shape: read_only(with_specials(rng, shape) if len(shape) > 1 else rng.normal(size=shape))
+        every = 2 * t + 1 if node == "attention" else 3
+
+        def draw(name, shape):
+            special = len(shape) > 1 and (node != "attention" or name == "x")
+            return read_only(with_specials(rng, shape, every) if special else rng.normal(size=shape))
+
         p = self.node_params(node, rng, b, t, k, f, values=draw)
         pos = read_only(rng.normal(size=(t, f if node == "embed" else k)))
         out, want = self.fused(node, p, pos), self.unfused(node, p, pos)
         assert bits_equal(out.data, want.data)
-        g = with_specials(rng, out.shape, every=2)
+        g = with_specials(rng, out.shape, every=2 * t + 1 if node == "attention" else 2)
         g[np.isnan(g)] = PAYLOAD_NAN  # unlike a generated NaN, so the order of a sum shows
         g = read_only(g)
         grads, want_grads = T.gradients(out, p, grad=g), T.gradients(want, p, grad=g)
@@ -316,7 +354,7 @@ class TestFusedNodes:
 
     @pytest.mark.parametrize("node, wrong", [("embed", "w"), ("embed", "pos"), ("embed", "x"),
                                              ("feed_forward", "w1"), ("feed_forward", "w2"),
-                                             ("feed_forward", "b2")])
+                                             ("feed_forward", "b2"), ("feed_forward", "gain")])
     def test_embed_and_feed_forward_name_wrong_shapes(self, node, wrong):
         p = self.node_params(node, np.random.default_rng(0))
         pos = np.zeros((3, 5 if node == "embed" else 4))
@@ -506,14 +544,33 @@ class TestElementwiseKernels:
         bias = read_only(rng.normal(size=d))
         p = params_of(gain=gain, bias=bias)
         a = Tensor(x, requires_grad=True)
-        if kind == "layer":
-            out, axis = T.layer_norm(a, p["gain"], p["bias"], eps=1e-5), -1
+        if kind == "layer":  # the layer norm the attention and feed-forward nodes end with
+            out, xhat, inv, mean, var = T._normalize(x.copy(), p["gain"], p["bias"], 1e-5, -1)
+            grads = T._normalize_backward(g, xhat, inv, p["gain"], -1)
+            want = reference_normalize(x, gain, bias, 1e-5, -1, g)
         else:
-            (out, mean, var), axis = T.batch_norm(a, p["gain"], p["bias"], eps=1e-5), 0
-        want = reference_normalize(x, gain, bias, 1e-5, axis, g)
-        assert bits_equal(out.data, want[0])
-        if kind == "batch":
-            assert bits_equal(mean, want[1][0]) and bits_equal(var, want[2][0])
-        grads = T.gradients(out, {"a": a, **p}, grad=g)
-        for name, expected in zip(("a", "gain", "bias"), want[3:]):
-            assert bits_equal(grads[name], expected), name
+            out, mean, var = T.batch_norm(a, p["gain"], p["bias"], eps=1e-5)
+            grads = T.gradients(out, {"a": a, **p}, grad=g).values()
+            out, want = out.data, reference_normalize(x, gain, bias, 1e-5, 0, g)
+            mean, var = mean[None], var[None]
+        assert bits_equal(out, want[0])
+        assert bits_equal(mean, want[1]) and bits_equal(var, want[2])
+        for name, got, expected in zip(("a", "gain", "bias"), grads, want[3:]):
+            assert bits_equal(got, expected), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_max_equals_max_over_the_last_axis(self, dtype):
+        """Every special (NaN, +-inf, +-0) at every key position of 14, beside every pair
+        of specials, and every row of three drawn from specials and finite values."""
+        rng = np.random.default_rng(7)
+        specials = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+        a = rng.normal(size=(len(specials) ** 3, 14, 14))
+        keys = np.arange(14)
+        for i, (s, u, v) in enumerate(itertools.product(specials, repeat=3)):
+            a[i, keys, keys] = s  # row j holds s at key j,
+            a[i, keys, (keys + 1) % 14] = u  # u after it
+            a[i, keys, (keys + 5) % 14] = v  # and v further on
+        rows = np.array(list(itertools.product(specials + (1.0, -2.5), repeat=3)))
+        for x in (a, rows):
+            x = read_only(x.astype(dtype))
+            assert bits_equal(T._row_max(x), x.max(axis=-1, keepdims=True))
