@@ -3,9 +3,11 @@
 One flat key=value config file (with `#` comments) plus command-line
 overrides drives everything.  `SETTINGS` defines each key once: its parser,
 the config fields it sets (and so its default) and its flag.  Every stage
-draws its randomness from the master seed through named streams.  Artifacts
-are only written once a run has fully succeeded, so a failing run leaves
-nothing half-finished behind.
+draws its randomness from the master seed through named streams.  One
+function, `_preprocess`, loads and preprocesses the data; a scenario run only
+splits what it returns, and a matrix prepares it once for all of its cells.
+Artifacts are only written once a run has fully succeeded, so a failing run
+leaves nothing half-finished behind.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class RunConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
         if self.method == "ssl" and self.aug not in AUGS:
-            raise ConfigError(f"method=ssl needs an augmentation (aug1|aug2|aug3), got {self.aug!r}")
+            raise ConfigError(f"aug: method ssl needs an augmentation (aug1|aug2|aug3), got {self.aug!r}")
         if self.method != "ssl" and self.aug is not None:
             raise ConfigError("aug is only meaningful with method=ssl")
         object.__setattr__(self, "scenario", self.scenario.lower())  # as ScenarioSpec does: E2 is e2
@@ -250,24 +252,15 @@ def settings_to_synthconfig(s: dict[str, object]) -> SynthConfig:
 # pipeline
 
 
-def _load_dataset(config: RunConfig) -> Dataset:
-    if config.data is not None:
-        return load_csv(config.data)
-    return generate(config.synth)
-
-
-def _preprocess(config: RunConfig, dataset: Dataset) -> tuple[Dataset, tuple[str, ...]]:
-    dataset, removed = drop_constant_series(dataset)
+def _preprocess(config: RunConfig) -> tuple[Dataset, tuple[str, ...]]:
+    """Load the configured data and preprocess it: (dataset, the removed constant series)."""
+    raw = load_csv(config.data) if config.data is not None else generate(config.synth)
+    dataset, removed = drop_constant_series(raw)
     if config.bands:
         dataset = select_bands(dataset, config.bands)
     if config.drop_leading:
         dataset = truncate_steps(dataset, config.drop_leading)
     return dataset, removed
-
-
-def _prepare(config: RunConfig, raw: Dataset | None = None) -> tuple:
-    """Preprocess `raw` (loaded if None) and `_split` it."""
-    return _split(config, *_preprocess(config, _load_dataset(config) if raw is None else raw))
 
 
 def _split(config: RunConfig, dataset: Dataset, removed: tuple[str, ...]) -> tuple:
@@ -332,12 +325,13 @@ def _nearest_class(state, reference: Dataset, x_test, cfg: TrainConfig):
 
 
 @blas.one_thread()
-def run(config: RunConfig, raw: Dataset | None = None) -> tuple[dict, dict[str, str]]:
-    """Execute one scenario on `raw` (loaded if None); returns (report, artifact texts).
+def run(config: RunConfig, prepared: tuple | None = None) -> tuple[dict, dict[str, str]]:
+    """Execute one scenario on the `_preprocess`ed data `prepared` (prepared here if
+    None); returns (report, artifact texts).
 
     Runs with OpenBLAS on one thread, like a matrix cell, so its bytes do not depend
     on the machine's core count and equal those of the same matrix cell."""
-    dataset, extras, spec, train_set, test_set = _prepare(config, raw)
+    dataset, extras, spec, train_set, test_set = _split(config, *(prepared or _preprocess(config)))
     truth = test_set.labels_array()
     files, traces = {}, {}
     cfg = config.train
@@ -414,8 +408,9 @@ def _run_cell(i: int) -> str:
 def run_matrix(
     settings: dict[str, object], out_dir: Path, jobs: int = 1
 ) -> str:
-    """Run every (method, scenario) cell on data loaded once; failed cells become
-    `error` and leave their traceback in `<label>_<scenario>/error.txt`.
+    """Run every (method, scenario) cell on data loaded and preprocessed once; each
+    cell splits it for its scenario.  Failed cells (a scenario that cannot be split
+    too) become `error` and leave their traceback in `<label>_<scenario>/error.txt`.
 
     Cells run in up to `jobs` forked worker processes with one BLAS thread each,
     so a cell's bytes depend neither on `jobs` nor on the caller's BLAS threads.
@@ -434,9 +429,8 @@ def run_matrix(
              for label, method, aug in methods for scen in scenarios]  # row by row
     workers = min(jobs, len(cells))
     threads = branch_threads(workers)
-    raw = _load_dataset(cells[0][2])  # every cell shares the data source; workers inherit it
-    dataset, _ = _preprocess(cells[0][2], raw)  # bad preprocessing input fails before any cell runs
-    header = f"# bands={len(dataset.band_ids)} steps={dataset.n_steps}\n"
+    prepared = _preprocess(cells[0][2])  # for every cell, so bad input fails before any cell runs
+    header = f"# bands={len(prepared[0].band_ids)} steps={prepared[0].n_steps}\n"
     # imported here: every other command would pay about 40 ms and 1.5 MiB at start-up
     import multiprocessing
 
@@ -448,7 +442,8 @@ def run_matrix(
         label, scen, config = cells[i]
         cell_dir = out_dir / f"{label}_{scen}"
         try:
-            report, files = run(replace(config, train=replace(config.train, branch_threads=threads)), raw)
+            report, files = run(replace(config, train=replace(config.train, branch_threads=threads)),
+                                prepared)
             write_artifacts(cell_dir, files)
             return repr(report["overall_accuracy"])
         except Exception as exc:  # cell failures must not kill the matrix
@@ -491,24 +486,21 @@ def _cmd_synth(args, settings, out_dir) -> None:
 
 def _cmd_preprocess(args, settings, out_dir) -> None:
     config = settings_to_runconfig(settings, method="tf")
-    dataset, removed = _preprocess(config, _load_dataset(config))
+    dataset, removed = _preprocess(config)
     write_csv(dataset, _csv_path(args))
     print(f"wrote {len(dataset)} samples ({dataset.n_bands} bands, {dataset.n_steps} steps), "
           f"removed {len(removed)} constant series")
 
 
 def _cmd_run(args, settings, out_dir) -> None:
-    """`run`, and `train`: the same limited to rf/tf."""
-    if args.command == "train" and settings["method"] == "ssl":
-        raise ConfigError("train handles rf/tf; use run (or pretrain+finetune) for ssl")
     report, files = run(settings_to_runconfig(settings))
     write_artifacts(out_dir, files)
     print(f"{report['method']} {report['scenario']}: OA={report['overall_accuracy']:.4f} -> {out_dir}")
 
 
 def _cmd_pretrain(args, settings, out_dir) -> None:
-    config = settings_to_runconfig(settings, method="ssl", aug=settings["aug"] or "aug1")
-    dataset, _, spec, train_set, test_set = _prepare(config)
+    config = settings_to_runconfig(settings, method="ssl")
+    dataset, _, spec, train_set, test_set = _split(config, *_preprocess(config))
     state, trace = _pretrain(config, dataset, train_set, test_set)
     files: dict[str, str] = {}
     _record(files, {}, "pretrain", "pretrained.json", state, trace)
@@ -526,7 +518,7 @@ def _cmd_evaluate(args, settings, out_dir) -> None:
     if args.command == "eval" and not contrastive and state.n_classes is None:
         raise ConfigError(f"{args.checkpoint}: the model has no classification head; "
                           "run finetune on it first, or pass --contrastive")
-    dataset, removed = _preprocess(config, _load_dataset(config))
+    dataset, removed = _preprocess(config)
     _check_checkpoint(args.checkpoint, state, dataset)
     dataset, extras, spec, train_set, test_set = _split(config, dataset, removed)
     cfg = config.train
@@ -555,7 +547,7 @@ def _cmd_matrix(args, settings, out_dir) -> None:
 
 def _cmd_export_embeddings(args, settings, out_dir) -> None:
     config = settings_to_runconfig(settings, method="tf")
-    dataset, _ = _preprocess(config, _load_dataset(config))
+    dataset, _ = _preprocess(config)
     if args.source == "encoder":
         if not args.checkpoint:
             raise ConfigError("--source encoder needs --checkpoint")
@@ -584,8 +576,6 @@ _CSV = {"csv": {"required": True, "help": "output CSV path"}}
 COMMANDS = {
     "synth": Command("write a synthetic dataset CSV", _cmd_synth, _CSV),
     "preprocess": Command("band selection / truncation / cleanup", _cmd_preprocess, _CSV),
-    "train": Command("supervised training (tf or rf) on a scenario", _cmd_run,
-                     {"method": {"choices": ("rf", "tf")}}),
     "pretrain": Command("siamese pre-training on a scenario's train pool", _cmd_pretrain, {"aug": {}}),
     "finetune": Command("fine-tune a pre-trained checkpoint", _cmd_evaluate,
                         {"checkpoint": {"required": True}, "finetune_mode": {}}),

@@ -213,7 +213,8 @@ def _parse_header(header: list[str]) -> tuple[tuple[str, ...], int]:
 
 
 def load_csv(path: str | Path) -> Dataset:
-    """Load the wide-format CSV (one row per field-year) into a Dataset."""
+    """Load the wide-format CSV (one row per field-year) into a Dataset; a repeated
+    field-year is an error."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -224,6 +225,7 @@ def load_csv(path: str | Path) -> Dataset:
         bands, n_steps = _parse_header(header)
         n_cols = 3 + len(bands) * n_steps
         samples: list[Sample] = []
+        first_line: dict[tuple[str, int], int] = {}  # the line of each field-year
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_cols:
                 raise CsvFormatError(f"line {lineno}: expected {n_cols} columns, got {len(row)}")
@@ -241,6 +243,9 @@ def load_csv(path: str | Path) -> Dataset:
                 values = np.array([float(v) for v in row[3:]], dtype=np.float64)
             except ValueError:
                 raise CsvFormatError(f"line {lineno}: non-numeric reflectance cell") from None
+            first = first_line.setdefault((row[0], year), lineno)
+            if first != lineno:
+                raise CsvFormatError(f"line {lineno}: field-year {(row[0], year)} repeats line {first}")
             try:
                 samples.append(
                     Sample(row[0], year, label, values.reshape(len(bands), n_steps))

@@ -71,15 +71,14 @@ class DecisionTree:
 class Forest:
     trees: list[DecisionTree]
     n_features: int
-    n_classes: int
 
 
-def _block_splits(xb: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
+def _block_splits(xb: np.ndarray, y: np.ndarray, min_leaf: int):
     """Best split of each column of `xb` (n x k): gini (inf if none), threshold, valid."""
     n, k = xb.shape
     order = np.argsort(xb, axis=0, kind="stable")
     xs = np.take_along_axis(xb, order, axis=0)
-    onehot = (y[order][:, :, None] == np.arange(n_classes)).astype(np.float64)
+    onehot = (y[order][:, :, None] == np.arange(N_CLASSES)).astype(np.float64)
     cum = onehot.cumsum(axis=0)
     # boundary b lies between sorted rows b and b + 1
     nl = np.arange(1, n, dtype=np.float64)
@@ -97,14 +96,13 @@ def _block_splits(xb: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
     return weighted[best, cols], thr, valid.any(axis=0)
 
 
-def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, n_classes: int,
-          rng: np.random.Generator) -> TreeNode:
+def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng: np.random.Generator) -> TreeNode:
     n_features = X.shape[1]
     max_features = cfg.max_features or max(1, math.floor(math.sqrt(n_features)))
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
         yi = y[idx]
-        counts = np.bincount(yi, minlength=n_classes).astype(np.float64)
+        counts = np.bincount(yi, minlength=N_CLASSES).astype(np.float64)
         node = TreeNode(counts)
         if (
             (counts > 0).sum() <= 1
@@ -121,7 +119,7 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, n_classes: int,
         while found < max_features and pos < n_features:
             block = perm[pos : pos + max_features - found]
             pos += len(block)
-            ginis, thrs, valid = _block_splits(Xi[:, block], yi, n_classes, cfg.min_leaf)
+            ginis, thrs, valid = _block_splits(Xi[:, block], yi, cfg.min_leaf)
             found += int(valid.sum())
             j = int(ginis.argmin())  # first minimum -> earliest in scan order
             if valid[j] and (best is None or ginis[j] < best[0]):
@@ -148,8 +146,8 @@ def rf_fit(train: Dataset, cfg: ForestConfig = ForestConfig()) -> Forest:
     for seq in seqs:
         rng = np.random.Generator(np.random.PCG64(seq))
         idx = rng.integers(0, len(X), len(X)) if cfg.bootstrap else np.arange(len(X))
-        trees.append(DecisionTree(_grow(X[idx], y[idx], cfg, N_CLASSES, rng)))
-    return Forest(trees, X.shape[1], N_CLASSES)
+        trees.append(DecisionTree(_grow(X[idx], y[idx], cfg, rng)))
+    return Forest(trees, X.shape[1])
 
 
 def rf_predict(forest: Forest, samples: Dataset | np.ndarray) -> np.ndarray:
@@ -159,7 +157,7 @@ def rf_predict(forest: Forest, samples: Dataset | np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature matrix {X.shape} does not match training width {forest.n_features}"
         )
-    votes = np.zeros((len(X), forest.n_classes), dtype=np.int64)
+    votes = np.zeros((len(X), N_CLASSES), dtype=np.int64)
     for tree in forest.trees:
         pred = tree.predict(X)
         votes[np.arange(len(X)), pred] += 1

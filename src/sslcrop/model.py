@@ -307,14 +307,14 @@ def constant_view(state: ModelState, keep: Collection[str] = ()) -> ModelState:
                                   for k, p in state.params.items()})
 
 
-def encode_batched(state: ModelState, X: np.ndarray, batch_size: int | None = None) -> np.ndarray:
-    """Encoder embeddings (N, d_model) of an encoder batch, `batch_size` rows at a time
-    (None: in one pass), on no tape."""
-    view, step = constant_view(state), batch_size or len(X)
-    return np.concatenate([encode(view, X[i : i + step]).data for i in range(0, len(X), step)])
+def encode_batched(state: ModelState, X: np.ndarray, batch_size: int) -> np.ndarray:
+    """Encoder embeddings (N, d_model) of an encoder batch, `batch_size` rows at a time,
+    on no tape."""
+    view = constant_view(state)
+    return np.concatenate([encode(view, X[i : i + batch_size]).data for i in range(0, len(X), batch_size)])
 
 
-def predict_classes(state: ModelState, X: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+def predict_classes(state: ModelState, X: np.ndarray, batch_size: int) -> np.ndarray:
     """Predicted class indices (1-based) of an encoder batch, encoded as by
     `encode_batched`; argmax ties go to the lowest index."""
     logits = _classifier(constant_view(state), Tensor(encode_batched(state, X, batch_size))).data

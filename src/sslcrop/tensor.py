@@ -281,6 +281,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 _EPS = 1e-5  # added to the variance by layer and batch norm
+_NORM_FLOOR = 1e-12  # l2_normalize's smallest divisor
 
 
 def _normalize(y: np.ndarray, gain: Tensor, bias: Tensor, eps: float, axis: int):
@@ -314,7 +315,7 @@ def _normalize_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: 
     return gx, tmp.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
-def batch_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _EPS) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def batch_norm(a: Tensor, gain: Tensor, bias: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalise each column over the batch axis (2-D input), then affine.
 
     Returns the output plus the batch mean/variance so the caller can keep
@@ -325,31 +326,28 @@ def batch_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _EPS) -> tupl
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    out, xhat, inv, mean, var = _normalize(a.data.copy(), gain, bias, eps, 0)
+    out, xhat, inv, mean, var = _normalize(a.data.copy(), gain, bias, _EPS, 0)
     backward = lambda g: _normalize_backward(g, xhat, inv, gain, 0)
     return _op(out, (a, gain, bias), backward), mean[0], var[0]
 
 
-def batch_norm_eval(a: Tensor, gain: Tensor, bias: Tensor, mean: np.ndarray, var: np.ndarray,
-                    eps: float = _EPS) -> Tensor:
+def batch_norm_eval(a: Tensor, gain: Tensor, bias: Tensor, mean: np.ndarray, var: np.ndarray) -> Tensor:
     """Affine normalisation against fixed (running) statistics; inference only.
 
     It has no backward rule: a pass that reaches it with a gradient raises.
     """
-    out = (a.data - mean) * (gain.data * (1.0 / np.sqrt(var + eps))) + bias.data
+    out = (a.data - mean) * (gain.data * (1.0 / np.sqrt(var + _EPS))) + bias.data
     return _op(out, (a, gain, bias), _no_backward)
 
 
-def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale rows (last axis) to unit norm; norms below eps are clamped to eps."""
+def l2_normalize(a: Tensor) -> Tensor:
+    """Scale rows (last axis) to unit norm; norms below _NORM_FLOOR are clamped to it."""
     r = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
-    n = np.maximum(r, eps)
+    n = np.maximum(r, _NORM_FLOOR)
     y = a.data / n
 
     def backward(g):
-        guarded = r <= eps  # below the clamp the map is simply x/eps
+        guarded = r <= _NORM_FLOOR  # below the clamp the map is simply x/_NORM_FLOOR
         gx = (g - y * (g * y).sum(axis=-1, keepdims=True)) / n
         return (np.where(guarded, g / n, gx),)
 

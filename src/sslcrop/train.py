@@ -179,11 +179,10 @@ def _supervised_epochs(
 def train_supervised(
     train: Dataset,
     cfg: TrainConfig,
-    encoder: EncoderConfig | None = None,
+    encoder: EncoderConfig,
     simsiam: SimSiamConfig | None = None,
 ) -> tuple[ModelState, TrainTrace]:
     """Train encoder + linear head from scratch with cross-entropy."""
-    encoder = encoder or EncoderConfig(n_bands=train.n_bands, n_steps=train.n_steps)
     state = M.init_model(encoder, simsiam or SimSiamConfig(), n_classes=N_CLASSES, seed=cfg.seed)
     params = {**M.encoder_params(state), **M.classifier_params(state)}
     return _supervised_epochs("train", state, train, params, cfg, cfg.epochs_supervised)
@@ -249,7 +248,7 @@ def pretrain(
     pool: Dataset,
     aug: str,
     cfg: TrainConfig,
-    encoder: EncoderConfig | None = None,
+    encoder: EncoderConfig,
     simsiam: SimSiamConfig | None = None,
 ) -> tuple[ModelState, TrainTrace]:
     """Siamese pre-training over positive pairs drawn by policy `aug` (one of `KINDS`).
@@ -265,7 +264,6 @@ def pretrain(
         raise ValueError(f"unknown augmentation kind {aug!r}; choose from {KINDS}")
     if aug in ("aug1", "aug3") and any(s.label is None for s in pool.samples):
         raise ValueError(f"{aug} needs a fully labeled pool")
-    encoder = encoder or EncoderConfig(n_bands=pool.n_bands, n_steps=pool.n_steps)
     simsiam = simsiam or SimSiamConfig()
     state = M.init_model(encoder, simsiam, seed=cfg.seed)
     M.cast_state(state, np.float32)

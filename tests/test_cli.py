@@ -18,7 +18,7 @@ from sslcrop import cli
 from sslcrop import evaluation as E
 from sslcrop import model as M
 from sslcrop.cli import main, run, run_matrix
-from sslcrop.dataio import load_csv
+from sslcrop.dataio import drop_constant_series, load_csv
 from sslcrop.forest import ForestConfig
 from sslcrop.model import EncoderConfig, SimSiamConfig
 from sslcrop.synthgen import SynthConfig
@@ -107,16 +107,16 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 9\n")
         parser = cli.build_parser()
-        args = parser.parse_args(["train", "--config", str(cfg), "--seed", "4"])
+        args = parser.parse_args(["run", "--config", str(cfg), "--seed", "4"])
         settings = cli.resolve_settings(args)
         assert settings["seed"] == 4
-        args = parser.parse_args(["train", "--config", str(cfg)])
+        args = parser.parse_args(["run", "--config", str(cfg)])
         settings = cli.resolve_settings(args)
         assert settings["seed"] == 9
 
     def test_out_defaults_to_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SSLCROP_OUT", str(tmp_path / "envout"))
-        args = cli.build_parser().parse_args(["train"])
+        args = cli.build_parser().parse_args(["run"])
         settings = cli.resolve_settings(args)
         assert settings["out"] == str(tmp_path / "envout")
 
@@ -132,7 +132,7 @@ class TestConfigFile:
     def test_bad_value_fails_when_read_naming_where(self, tmp_path, line, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# the second line is bad\n{line}\nseed = 4\n")
-        args = cli.build_parser().parse_args(["train", "--config", str(cfg)])
+        args = cli.build_parser().parse_args(["run", "--config", str(cfg)])
         with pytest.raises(cli.ConfigError) as err:
             cli.resolve_settings(args)
         assert str(err.value).startswith(f"{cfg}:2: {message}")
@@ -147,7 +147,7 @@ class TestConfigFile:
         assert all(settings[key] is None for key in optional - {"out"})
 
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys):
-        assert main(["train", "--out", str(tmp_path / "out"), "--seed", "abc"]) == 1
+        assert main(["run", "--out", str(tmp_path / "out"), "--seed", "abc"]) == 1
         assert capsys.readouterr().err.startswith("sslcrop: error: --seed: invalid literal")
         assert not (tmp_path / "out").exists()
 
@@ -307,6 +307,20 @@ class TestMatrix:
         assert calls == [str(csv)]
         assert "error" not in summary
 
+    def test_data_is_preprocessed_once(self, tmp_path, monkeypatch):
+        log = tmp_path / "preprocessed.log"  # a file, so that the forked workers' calls count too
+
+        def counting_drop(dataset):
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return drop_constant_series(dataset)
+
+        monkeypatch.setattr(cli, "drop_constant_series", counting_drop)
+        settings = tiny_settings(methods="rf,tf", scenarios="e1,e2")
+        summary = run_matrix(settings, tmp_path / "out", jobs=2)
+        assert log.read_text(encoding="utf-8").splitlines() == [str(os.getpid())]
+        assert "error" not in summary
+
     def test_scenario_case_does_not_change_a_cell(self, tmp_path):
         # e2 is the scenario whose aug2 pool takes the unlabeled target year
         settings = tiny_settings(methods="ssl:aug2", scenarios="e2")
@@ -346,10 +360,10 @@ class TestMatrix:
     def test_dead_worker_raises_naming_its_cell(self, tmp_path, monkeypatch, jobs):
         real_run = cli.run
 
-        def dying_run(config, raw=None):
+        def dying_run(config, prepared=None):
             if config.scenario == "e2":
                 os._exit(3)
-            return real_run(config, raw)
+            return real_run(config, prepared)
 
         monkeypatch.setattr(cli, "run", dying_run)  # forked workers inherit the patch
         settings = tiny_settings(methods="rf", scenarios="e1,e2,e3")
@@ -366,7 +380,7 @@ class TestMatrix:
         if get is None:
             pytest.skip("no OpenBLAS loaded")
 
-        def reporting_run(config, raw=None):
+        def reporting_run(config, prepared=None):
             return {"overall_accuracy": get()}, {}
 
         monkeypatch.setattr(cli, "run", reporting_run)
@@ -412,7 +426,7 @@ class TestThreads:
 
         monkeypatch.setattr(M, "encode", recording_encode)
         config = tiny_runconfig(method="ssl", aug="aug1")
-        dataset = cli._prepare(config)[3]
+        dataset = cli._split(config, *cli._preprocess(config))[3]
         cfg = TrainConfig(lr=0.01, batch_size=16, epochs_pretrain=2, branch_threads=2)
         threads = threading.active_count()
         before = get() if get is not None else None
@@ -432,7 +446,7 @@ class TestThreads:
         # a branch pool that outlived pretrain would be inherited, without its
         # thread, by the forked matrix workers, which would then wait forever
         config = tiny_runconfig(method="ssl", aug="aug1")
-        dataset = cli._prepare(config)[3]
+        dataset = cli._split(config, *cli._preprocess(config))[3]
         pretrain(dataset, "aug1",
                  TrainConfig(lr=0.01, batch_size=16, epochs_pretrain=1, branch_threads=2),
                  cli._encoder_config(config, dataset))
@@ -453,7 +467,7 @@ class TestThreads:
         assert "error" not in summary
 
     def test_matrix_workers_get_the_cores_per_worker(self, tmp_path, monkeypatch):
-        def reporting_run(config, raw=None):
+        def reporting_run(config, prepared=None):
             return {"overall_accuracy": config.train.branch_threads}, {}
 
         monkeypatch.setattr(cli, "run", reporting_run)
@@ -710,13 +724,26 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "contrastive"
 
+    def test_pretrain_without_aug_fails_naming_the_setting(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pretrain", "--synth-n", "2", "--epochs-pretrain", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "sslcrop: error: aug: method ssl needs an augmentation (aug1|aug2|aug3), got None\n")
+        assert not out.exists()
+
+    def test_train_is_not_a_subcommand(self, capsys):  # run --method rf|tf does what it did
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--method", "rf"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'train'" in capsys.readouterr().err
+
     def test_eval_without_head_names_the_checkpoint_before_loading_data(self, tmp_path, capsys,
                                                                         monkeypatch):
         checkpoint = tmp_path / "pretrained.json"
         enc = EncoderConfig(n_bands=13, n_steps=14, d_model=8, n_heads=2, n_layers=1, ff_dim=16)
         checkpoint.write_text(M.checkpoint_text(M.init_model(enc)))
         loaded = []
-        monkeypatch.setattr(cli, "_load_dataset", lambda config: loaded.append(config))
+        monkeypatch.setattr(cli, "_preprocess", lambda config: loaded.append(config))
         rc = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == (

@@ -99,6 +99,15 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="line 3"):
             load_csv(path)
 
+    def test_repeated_field_year_names_both_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        rows = [("f0", 2016, "corn", 1.0), ("f0", 2017, "corn", 2.0), ("f1", 2016, "corn", 3.0)]
+        write_wide_csv(path, rows)
+        assert len(load_csv(path)) == 3  # one field in two years is two samples
+        write_wide_csv(path, rows + [("f0", 2016, "corn", 4.0)])
+        with pytest.raises(CsvFormatError, match=re.escape("line 5: field-year ('f0', 2016) repeats line 2")):
+            load_csv(path)
+
     def test_round_trip(self, tmp_path):
         d = make_dataset(n_per_class=2, seed=3)
         path = tmp_path / "d.csv"

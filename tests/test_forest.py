@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sslcrop import forest as forest_mod
-from sslcrop.dataio import CropClass, Dataset, Sample
+from sslcrop.dataio import N_CLASSES, CropClass, Dataset, Sample
 from sslcrop.forest import Forest, ForestConfig, TreeNode, rf_fit, rf_predict
 
 
@@ -22,12 +22,12 @@ class TestGini:
 
     def test_even_split(self):
         gini, thr, valid = forest_mod._block_splits(np.array([[1.0], [1.0], [2.0], [2.0]]),
-                                                    np.array([0, 1, 0, 1]), 2, 1)
+                                                    np.array([0, 1, 0, 1]), 1)
         assert (gini.tolist(), thr.tolist(), valid.tolist()) == ([0.5], [1.5], [True])
 
     def test_pure(self):
         gini, thr, _ = forest_mod._block_splits(np.array([[1.0], [1.0], [2.0], [2.0]]),
-                                                np.array([0, 0, 1, 1]), 2, 1)
+                                                np.array([0, 0, 1, 1]), 1)
         assert (gini.tolist(), thr.tolist()) == ([0.0], [1.5])
 
 
@@ -96,7 +96,7 @@ class TestPredict:
 
         t1 = DecisionTree(TreeNode(np.array([5.0, 0.0, 0.0, 0.0, 0.0, 0.0])))
         t3 = DecisionTree(TreeNode(np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])))
-        forest = Forest([t1, t3], 1, 6)
+        forest = Forest([t1, t3], 1)
         assert rf_predict(forest, np.array([[0.5]]))[0] == 1
 
     def test_dimension_mismatch_rejected(self):
@@ -124,11 +124,11 @@ class TestConfig:
 # reference: the per-feature scalar split search the block search replaced
 
 
-def _reference_best_split(x, y, n_classes, min_leaf):
+def _reference_best_split(x, y, min_leaf):
     """Best (gini, threshold) split of one feature column, or None."""
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
-    onehot = np.zeros((len(ys), n_classes))
+    onehot = np.zeros((len(ys), N_CLASSES))
     onehot[np.arange(len(ys)), ys] = 1.0
     cum = onehot.cumsum(axis=0)
     total = cum[-1]
@@ -150,12 +150,12 @@ def _reference_best_split(x, y, n_classes, min_leaf):
     return float(weighted[best]), float(thr)
 
 
-def _reference_grow(X, y, cfg, n_classes, rng):
+def _reference_grow(X, y, cfg, rng):
     n_features = X.shape[1]
     max_features = cfg.max_features or max(1, math.floor(math.sqrt(n_features)))
 
     def build(idx, depth):
-        counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+        counts = np.bincount(y[idx], minlength=N_CLASSES).astype(np.float64)
         node = TreeNode(counts)
         if (
             (counts > 0).sum() <= 1
@@ -166,7 +166,7 @@ def _reference_grow(X, y, cfg, n_classes, rng):
         best = None
         found = 0
         for f in rng.permutation(n_features):
-            res = _reference_best_split(X[idx, f], y[idx], n_classes, cfg.min_leaf)
+            res = _reference_best_split(X[idx, f], y[idx], cfg.min_leaf)
             if res is None:
                 continue
             found += 1

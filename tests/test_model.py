@@ -217,14 +217,14 @@ class TestClassify:
         batch = np.random.default_rng(1).normal(0.2, 0.1, (4, 5, 3))
         logits = M.classify(state, batch).data
         assert np.abs(logits).max() == 0.0
-        assert np.array_equal(M.predict_classes(state, batch), np.ones(4, dtype=int))
+        assert np.array_equal(M.predict_classes(state, batch, len(batch)), np.ones(4, dtype=int))
 
     def test_constant_logit_shift_keeps_argmax(self):
         state = tiny_state(seed=4, n_classes=6)
         batch = np.random.default_rng(2).normal(0.2, 0.1, (5, 5, 3))
-        before = M.predict_classes(state, batch)
+        before = M.predict_classes(state, batch, len(batch))
         state.params["clf.b"].data = state.params["clf.b"].data + 3.7
-        assert np.array_equal(M.predict_classes(state, batch), before)
+        assert np.array_equal(M.predict_classes(state, batch, len(batch)), before)
 
     def test_logits_match_hand_product(self):
         state = tiny_state(seed=6, n_classes=6)
@@ -347,7 +347,7 @@ class TestTapeFreeInference:
         assert taped.requires_grad and not free.requires_grad and free._parents == ()
         assert np.array_equal(free.data, taped.data)
         assert all(view.params[k].data is p.data for k, p in state.params.items())
-        assert np.array_equal(M.predict_classes(state, batch), taped.data.argmax(axis=1) + 1)
+        assert np.array_equal(M.predict_classes(state, batch, len(batch)), taped.data.argmax(axis=1) + 1)
         for k, p in state.params.items():
             assert np.array_equal(p.data, before[k]) and p.requires_grad
         assert "grad" not in Tensor.__slots__
@@ -357,7 +357,7 @@ class TestTapeFreeInference:
     def test_batched_helpers_match_one_pass(self):
         state = tiny_state(seed=2, n_classes=6)
         X = np.random.default_rng(4).normal(0.2, 0.1, (11, 5, 3))
-        assert np.array_equal(M.predict_classes(state, X, 4), M.predict_classes(state, X))
+        assert np.array_equal(M.predict_classes(state, X, 4), M.predict_classes(state, X, len(X)))
         assert np.abs(M.encode_batched(state, X, 4) - M.encode(state, X).data).max() < 1e-12
 
 
@@ -381,7 +381,7 @@ class TestMemory:
         step = self.peak_mib(lambda: T.gradients(M.simsiam_forward(state, x1, x2)[0], params))
         assert step < 100.0, step
         X = rng.normal(0.2, 0.1, (256, 14, 13))
-        assert self.peak_mib(lambda: M.predict_classes(state, X)) < 50.0
+        assert self.peak_mib(lambda: M.predict_classes(state, X, len(X))) < 50.0
 
     @staticmethod
     def unfused_encode(state, batch):

@@ -104,7 +104,8 @@ samples = st.builds(
 
 
 class TestCsvRoundTrip:
-    @given(st.lists(samples, min_size=1, max_size=6))  # a header-only CSV is refused
+    # a header-only CSV is refused, and so is a repeated field-year
+    @given(st.lists(samples, min_size=1, max_size=6, unique_by=lambda row: (row[0], row[1])))
     def test_write_load_write_is_byte_exact(self, rows):
         d = Dataset(tuple(Sample(*row) for row in rows), CANONICAL_BANDS[:2], 3)
         with tempfile.TemporaryDirectory() as tmp:

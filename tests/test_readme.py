@@ -32,3 +32,12 @@ def test_readme_config_file_only_keys_are_the_settings_without_a_flag():
     unflagged = {row.key for row in cli.SETTINGS if "--" + row.key.replace("_", "-") not in flags}
     assert listed == unflagged
     assert all(not row.flag for row in cli.SETTINGS if row.key in listed)
+
+
+def test_readme_names_only_subcommands_the_parser_has():
+    named = set(re.findall(r"\bsslcrop ([a-z][a-z-]*)", README))
+    table = README.split("| subcommand | files |", 1)[1].split("\n\n", 1)[0]
+    in_table = {word for cell in re.findall(r"^\| ([^|]*) \|", table, re.M)
+                for word in re.findall(r"`([a-z][a-z-]*)", cell)}
+    assert {"run", "matrix"} <= named and {"run", "pretrain", "eval"} <= in_table
+    assert (named | in_table) - set(cli.COMMANDS) == set()
