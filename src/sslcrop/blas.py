@@ -2,9 +2,9 @@
 
 A gemm split over more BLAS threads sums its products in another order, so the
 thread count changes the bits of every result.  `one_thread()` runs a block on
-one BLAS thread and then restores the caller's count; pre-training, `cli.run`
-and every command run under it, and matrix workers pin themselves with
-`set_threads(1)`.  The library is found through /proc/self/maps with ctypes (no
+one BLAS thread and then restores the caller's count; every training phase,
+`cli.run` and every command run under it, and matrix workers pin themselves
+with `set_threads(1)`.  The library is found through /proc/self/maps with ctypes (no
 new dependency, nothing to configure); without OpenBLAS, or without /proc,
 nothing happens.
 """

@@ -201,7 +201,7 @@ def encoder_batch(series: Iterable[np.ndarray]) -> np.ndarray:
 
 def encode(state: ModelState, batch) -> Tensor:
     """Embed a normalized batch (B, n_steps, n_bands) into (B, d_model), in the
-    dtype of the batch and the state (float32 in pre-training, float64 elsewhere)."""
+    dtype of the batch and the state (float32 in training, float64 in inference)."""
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
     cfg = state.encoder
     if x.data.ndim != 3 or x.shape[1] != cfg.n_steps or x.shape[2] != cfg.n_bands:

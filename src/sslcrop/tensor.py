@@ -24,9 +24,9 @@ large temporaries few.
 
 Storage is a row-major ndarray: float32 stays float32, everything else is
 float64.  Every array a node or the optimizer allocates takes its operands'
-dtype, so a float32 graph (pre-training) computes, back-propagates and
-updates in float32; one float64 array would widen the rest of the pass and
-take it off the float32 BLAS kernels.  Broadcasting is restricted to
+dtype, so a float32 graph (every training phase) computes, back-propagates
+and updates in float32; one float64 array would widen the rest of the pass
+and take it off the float32 BLAS kernels.  Broadcasting is restricted to
 last-axis bias/gain addition and the positional table of `embed`, so every
 backward rule stays easy to audit.  The encoder's blocks are single nodes
 (`embed`, `attention` and `feed_forward`, the last two ending with their layer

@@ -7,13 +7,14 @@ the same config are bitwise identical.  A phase supplies only its step; a
 batch loss that is not finite stops the run with `TrainingDiverged`, and that
 is its one report: numpy's floating-point warnings are off inside the loop.
 
-Pre-training computes in float32 and returns its model in float64 (exactly:
-every float32 value is a float64 value), so checkpoints, fine-tuning and
-inference see float64 as the other phases do.  A pre-training step
-(`_siamese_step`) encodes its two views, and later back-propagates their
-encoders, in two threads, with OpenBLAS on one thread: the gradients, and so
-every artifact, are bitwise those of one serial forward and backward, and do
-not depend on the BLAS thread count or on how many threads the step used.
+Every phase computes in float32, with OpenBLAS on one thread, and returns its
+model in float64 (`_float32`; exact: every float32 value is a float64 value),
+so checkpoints and inference see float64 whatever phase trained the model.
+A phase's encoder batches are normalized in float64 and rounded to float32
+once.  A pre-training step (`_siamese_step`) encodes its two views, and later
+back-propagates their encoders, in two threads: the gradients, and so every
+artifact, are bitwise those of one serial forward and backward, and do not
+depend on the BLAS thread count or on how many threads the step used.
 """
 
 from __future__ import annotations
@@ -124,6 +125,22 @@ class TrainingDiverged(ArithmeticError):
     """Raised when a batch loss is not finite; no later step could undo it."""
 
 
+def _require_samples(phase: str, data: Dataset) -> None:
+    if len(data) == 0:
+        raise ValueError(f"cannot {phase} on an empty dataset")
+
+
+@contextlib.contextmanager
+def _float32(state: ModelState):
+    """Run the block on `state` cast to float32 (`cast_state`); on the way out the
+    state is float64 again, holding the same values."""
+    M.cast_state(state, np.float32)
+    try:
+        yield
+    finally:
+        M.cast_state(state, np.float64)
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sgd(phase: str, n: int, params: dict[str, Tensor], cfg: TrainConfig, epochs: int,
          trace: TrainTrace, step) -> TrainTrace:
@@ -163,17 +180,20 @@ def _supervised_epochs(
     cfg: TrainConfig,
     epochs: int,
 ) -> tuple[ModelState, TrainTrace]:
-    """Cross-entropy epochs on `data`, updating `params` of `state` in place."""
+    """Cross-entropy epochs on `data`, updating `params` of `state` in place, in
+    float32 with OpenBLAS on one thread (the caller's count is restored)."""
     y0 = data.labels_array() - 1  # raises on unlabeled samples
-    X = M.encoder_batch(s.reflectance for s in data.samples)
-    # params outside `params` are never updated, so a view made once stays current
-    view = M.constant_view(state, keep=params)
+    X = M.encoder_batch(s.reflectance for s in data.samples).astype(np.float32)
+    with _float32(state), blas.one_thread():
+        # params outside `params` are never updated, so a view made once stays current
+        view = M.constant_view(state, keep=params)
 
-    def step(idx):
-        loss = T.cross_entropy(M.classify(view, X[idx]), y0[idx])
-        return loss.item(), T.gradients(loss, params), None
+        def step(idx):
+            loss = T.cross_entropy(M.classify(view, X[idx]), y0[idx])
+            return loss.item(), T.gradients(loss, params), None
 
-    return state, _sgd(phase, len(X), params, cfg, epochs, TrainTrace(), step)
+        trace = _sgd(phase, len(X), params, cfg, epochs, TrainTrace(), step)
+    return state, trace
 
 
 def train_supervised(
@@ -183,6 +203,7 @@ def train_supervised(
     simsiam: SimSiamConfig | None = None,
 ) -> tuple[ModelState, TrainTrace]:
     """Train encoder + linear head from scratch with cross-entropy."""
+    _require_samples("train", train)
     state = M.init_model(encoder, simsiam or SimSiamConfig(), n_classes=N_CLASSES, seed=cfg.seed)
     params = {**M.encoder_params(state), **M.classifier_params(state)}
     return _supervised_epochs("train", state, train, params, cfg, cfg.epochs_supervised)
@@ -195,7 +216,7 @@ def _make_pairs(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two views' encoder batches of the pairs drawn for `indices`, normalized
-    in float64 and then rounded once to pre-training's float32."""
+    in float64 and then rounded once to float32."""
     x1s, x2s = [], []
     for i in indices:
         sample = pool.samples[i]
@@ -255,22 +276,22 @@ def pretrain(
 
     Records the collapse metric of each epoch's projections and raises the
     warning flag if, past the warm-up epoch, it falls below
-    collapse_threshold_factor / sqrt(head_out).  Runs with OpenBLAS on one
-    thread and the two views in `cfg.branch_threads` threads; the caller's BLAS
-    thread count is restored and no thread outlives the call.  Computes in
-    float32 and returns the model in float64.
+    collapse_threshold_factor / sqrt(head_out).  Computes in float32 with
+    OpenBLAS on one thread and the two views in `cfg.branch_threads` threads;
+    the caller's BLAS thread count is restored and no thread outlives the call.
     """
     if aug not in KINDS:
         raise ValueError(f"unknown augmentation kind {aug!r}; choose from {KINDS}")
+    _require_samples("pretrain", pool)
     if aug in ("aug1", "aug3") and any(s.label is None for s in pool.samples):
         raise ValueError(f"{aug} needs a fully labeled pool")
     simsiam = simsiam or SimSiamConfig()
     state = M.init_model(encoder, simsiam, seed=cfg.seed)
-    M.cast_state(state, np.float32)
     params = {**M.encoder_params(state), **M.head_params(state)}
     aug_rng = seeding.stream(cfg.seed, "augment")
     trace = TrainTrace(collapse=[])
-    with blas.one_thread(), thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-view") as branch_pool:
+    threads = cfg.branch_threads or branch_threads()
+    with _float32(state), blas.one_thread(), thread_pair(threads, "sslcrop-view") as branch_pool:
         def step(idx):
             x1, x2 = _make_pairs(pool, idx, aug, aug_rng)
             return _siamese_step(branch_pool, state, params, x1, x2)
@@ -278,7 +299,6 @@ def pretrain(
         _sgd("pretrain", len(pool), params, cfg, cfg.epochs_pretrain, trace, step)
     floor = cfg.collapse_threshold_factor / math.sqrt(simsiam.head_out)
     trace.collapse_warning = any(metric < floor for metric in trace.collapse[cfg.collapse_warmup_epochs:])
-    M.cast_state(state, np.float64)  # exact: checkpoints and every later phase stay float64
     return state, trace
 
 
@@ -289,9 +309,11 @@ def finetune(
 ) -> tuple[ModelState, TrainTrace]:
     """Attach a fresh linear head to a copy of `backbone` and train it.
 
-    linear updates only the head; full updates encoder and head.  The
-    input state is never modified.
+    linear updates only the head; full updates encoder and head.  The copy is
+    rounded to float32 once (a pre-trained backbone already holds float32
+    values); the input state is never modified.
     """
+    _require_samples("finetune", labeled)
     state = M.clone_state(backbone)
     M.attach_classifier(state, n_classes=N_CLASSES, seed=cfg.seed)
     if cfg.finetune_mode == "linear":

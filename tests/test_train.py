@@ -220,7 +220,7 @@ class TestConcurrentBranches:
 
 
 class TestPrecision:
-    """Pre-training computes in float32 from end to end; every other phase in float64.
+    """Every training phase computes in float32 from end to end and returns float64.
     A single float64 allocation in a node would silently widen the rest of the pass."""
 
     @staticmethod
@@ -267,12 +267,25 @@ class TestPrecision:
         assert all(b.dtype == np.float64 for b in state.buffers.values())
         assert state.pos.dtype == np.float64
 
-    def test_a_supervised_step_stays_float64(self, monkeypatch):
+    @pytest.mark.parametrize("phase, mode", [("train", "full"), ("finetune", "full"), ("finetune", "linear")])
+    def test_a_supervised_step_is_float32_throughout(self, phase, mode, monkeypatch):
         d = make_dataset(n_per_class=2, years=(2016,), n_bands=4, n_steps=6, seed=17)
-        cfg = TrainConfig(lr=0.01, batch_size=32, epochs_supervised=1, seed=3)
-        seen, _ = self.recorded_dtypes(monkeypatch, lambda: train_supervised(d, cfg, TINY_ENC))
+        cfg = TrainConfig(lr=0.01, batch_size=32, epochs_supervised=1, epochs_finetune=1, seed=3,
+                          finetune_mode=mode)
+        backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=2)  # float64 values
+        before = M.checkpoint_text(backbone)
+        seen, (state, _) = self.recorded_dtypes(
+            monkeypatch, lambda: train_supervised(d, cfg, TINY_ENC) if phase == "train"
+            else finetune(backbone, d, cfg))
         assert {role for role, _ in seen} == {"node", "backward", "grad", "momentum", "param"}
-        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}, sorted(map(str, seen))
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}, sorted(map(str, seen))
+        for k, p in state.params.items():  # returned in float64, holding float32 values
+            assert p.data.dtype == np.float64, k
+            assert np.array_equal(p.data, p.data.astype(np.float32)), k
+        assert all(b.dtype == np.float64 for b in state.buffers.values())
+        assert state.pos.dtype == np.float64
+        assert M.checkpoint_text(backbone) == before
+        assert all(p.data.dtype == np.float64 for p in backbone.params.values())
 
 
 class TestFinetune:
@@ -283,6 +296,8 @@ class TestFinetune:
     def test_linear_probe_leaves_backbone_bitwise_unchanged(self):
         d = two_blob_dataset(4)
         backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=1)
+        M.cast_state(backbone, np.float32)  # float32 values in float64, as pre-training returns it
+        M.cast_state(backbone, np.float64)
         before = {k: p.data.copy() for k, p in backbone.params.items()}
         cfg = TrainConfig(lr=0.05, batch_size=4, epochs_finetune=20, seed=2,
                           finetune_mode="linear")
@@ -329,22 +344,26 @@ class TestFinetune:
                           finetune_mode="linear")
         tuned, trace = finetune(backbone, d, cfg)
 
-        # the reference: classify on the state itself, taping the whole encoder
+        # the reference: classify on the state itself, taping the whole encoder, in
+        # float32 on OpenBLAS's one thread, as `serial_pretrain` runs its loop
         ref = M.clone_state(backbone)
         M.attach_classifier(ref, n_classes=6, seed=cfg.seed)
+        M.cast_state(ref, np.float32)
         params = M.classifier_params(ref)
-        X, y0 = M.encoder_batch(s.reflectance for s in d.samples), d.labels_array() - 1
+        X, y0 = M.encoder_batch(s.reflectance for s in d.samples).astype(np.float32), d.labels_array() - 1
         losses, momentum = [], {}
-        for epoch in range(cfg.epochs_finetune):
-            order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(len(X))
-            total = 0.0
-            for start in range(0, len(X), cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                loss = T.cross_entropy(M.classify(ref, X[idx]), y0[idx])
-                grads = T.gradients(loss, params)
-                T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
-                total += loss.item() * len(idx)
-            losses.append(total / len(X))
+        with blas.one_thread():
+            for epoch in range(cfg.epochs_finetune):
+                order = seeding.stream(cfg.seed, "shuffle", epoch).permutation(len(X))
+                total = 0.0
+                for start in range(0, len(X), cfg.batch_size):
+                    idx = order[start:start + cfg.batch_size]
+                    loss = T.cross_entropy(M.classify(ref, X[idx]), y0[idx])
+                    grads = T.gradients(loss, params)
+                    T.sgd_step(params, momentum, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
+                    total += loss.item() * len(idx)
+                losses.append(total / len(X))
+        M.cast_state(ref, np.float64)
         assert trace.losses == losses
         assert M.checkpoint_text(tuned) == M.checkpoint_text(ref)
 
@@ -370,7 +389,8 @@ class TestFinetune:
 
 
 class TestOneLoop:
-    """Every phase runs the one SGD loop: its divergence guard and its config checks."""
+    """Every phase runs the one SGD loop: its divergence guard, its config checks, its
+    empty-data check and its one BLAS thread."""
 
     @pytest.mark.parametrize("phase", ["train", "pretrain", "finetune"])
     def test_non_finite_loss_stops_the_phase_before_its_update(self, phase, monkeypatch):
@@ -406,6 +426,54 @@ class TestOneLoop:
             else:
                 finetune(M.init_model(TINY_ENC, SimSiamConfig(), seed=2), d, cfg)
         assert len(updates) == 4
+
+    @pytest.mark.parametrize("phase", ["train", "finetune"])
+    def test_supervised_phases_run_on_one_blas_thread_and_restore_the_callers(self, phase, monkeypatch):
+        if not blas._openblas():
+            pytest.skip("no OpenBLAS loaded")
+        get = blas._openblas()[0][0]
+        d = make_dataset(n_per_class=4, years=(2016,), n_bands=4, n_steps=6, seed=18)
+        cfg = TrainConfig(lr=0.01, batch_size=8, epochs_supervised=2, epochs_finetune=2, seed=4)
+        backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=3)
+        during = []
+
+        def recording_step(*args, inner=T.sgd_step, **kwargs):
+            during.append(get())
+            inner(*args, **kwargs)
+
+        monkeypatch.setattr(T, "sgd_step", recording_step)
+        before, results = get(), []
+        try:
+            for threads in (2, 1):
+                blas.set_threads(threads)
+                state, trace = (train_supervised(d, cfg, TINY_ENC) if phase == "train"
+                                else finetune(backbone, d, cfg))
+                assert get() == threads  # the caller's count is back
+                results.append((M.checkpoint_text(state), trace.to_csv()))
+        finally:
+            blas.set_threads(before)
+        assert set(during) == {1}
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("phase", ["train", "pretrain", "finetune"])
+    def test_an_empty_dataset_is_rejected_naming_the_phase_before_any_work(self, phase, monkeypatch):
+        d = make_dataset(n_per_class=2, years=(2016,), n_bands=4, n_steps=6)
+        empty = Dataset((), d.band_ids, d.n_steps)
+        backbone = M.init_model(TINY_ENC, SimSiamConfig(), seed=2)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on an empty dataset")
+
+        monkeypatch.setattr(M, "init_model", no_work)
+        monkeypatch.setattr(M, "clone_state", no_work)
+        cfg = TrainConfig(epochs_supervised=1, epochs_pretrain=1, epochs_finetune=1)
+        with pytest.raises(ValueError, match=f"^cannot {phase} on an empty dataset$"):
+            if phase == "train":
+                train_supervised(empty, cfg, TINY_ENC)
+            elif phase == "pretrain":
+                pretrain(empty, "aug1", cfg, TINY_ENC)
+            else:
+                finetune(backbone, empty, cfg)
 
     @pytest.mark.parametrize("name", ["epochs_supervised", "epochs_pretrain", "epochs_finetune",
                                       "collapse_warmup_epochs"])
