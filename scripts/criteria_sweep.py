@@ -1,14 +1,13 @@
-"""Acceptance criteria 6 and 7 over more seeds and BLAS thread counts.
+"""Acceptance criteria 6 and 7 over more seeds.
 
-    python3 scripts/criteria_sweep.py                      # seeds 1-6, 1 and 2 BLAS threads
-    python3 scripts/criteria_sweep.py --seeds 4,5 --threads 1 --criteria 7 --jobs 2
+    python3 scripts/criteria_sweep.py                      # seeds 1-6
+    python3 scripts/criteria_sweep.py --seeds 4,5 --criteria 7 --jobs 2
     python3 scripts/criteria_sweep.py --src OTHER_CHECKOUT/src   # the same sweep on other code
 
 The acceptance tests run criteria 6 and 7 on fixed seeds, so a pass or a fail
 may rest on one seed's rounding.  This script runs the same configs (those of
-tests/test_acceptance.py, repeated below) for each seed, each in a fresh process
-with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to the thread
-count, and prints:
+tests/test_acceptance.py, repeated below) for each seed, each in a fresh process,
+and prints:
 
   criterion 6  the E1 transformer's final test OA, and the epochs in 100-149
                whose test OA is below 0.90 (the model is evaluated after every
@@ -17,8 +16,10 @@ count, and prints:
                E3 with target year 2018, and their gap, then the mean gap over
                seeds 1-3 (the test's) and over all seeds run.
 
-A criterion-6 run takes about a minute and a criterion-7 seed about two on one
-core; `--jobs` runs that many processes at once.
+Training and prediction run on one BLAS thread whatever the machine has, so
+the numbers do not depend on its thread count.  `--jobs` runs that many
+processes at once: the default sweep (12 runs) took 2 min 40 s with `--jobs 2`
+on 2 cores.
 """
 
 from __future__ import annotations
@@ -52,11 +53,14 @@ def _split(scenario):
 
 
 def _oa(state, test) -> float:
+    """Test OA on one BLAS thread, as every command predicts."""
+    from sslcrop import blas
     from sslcrop import evaluation as E
     from sslcrop import model as M
 
     X = M.encoder_batch(s.reflectance for s in test.samples)
-    return E.overall_accuracy(M.predict_classes(state, X, 256), test.labels_array())
+    with blas.one_thread():
+        return E.overall_accuracy(M.predict_classes(state, X, 256), test.labels_array())
 
 
 def criterion6(seed: int) -> dict:
@@ -107,12 +111,11 @@ def criterion7(seed: int) -> dict:
     return {"scratch_oa": scratch_oa, "ssl_oa": ssl_oa, "gap": ssl_oa - scratch_oa}
 
 
-def run_child(src: Path, criterion: int, seed: int, threads: int) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
-           **{k: str(threads) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+def run_child(src: Path, criterion: int, seed: int) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run([sys.executable, __file__, "--child", str(criterion), str(seed)],
                          env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
-    row = {"criterion": criterion, "seed": seed, "threads": threads, **json.loads(out.splitlines()[-1])}
+    row = {"criterion": criterion, "seed": seed, **json.loads(out.splitlines()[-1])}
     print(json.dumps(row), file=sys.stderr, flush=True)  # progress, and the rows so far
     return row
 
@@ -127,29 +130,25 @@ def _numbers(text: str) -> list[int]:
 
 def report(rows: list[dict], seeds: list[int]) -> list[str]:
     lines = []
-    for threads in sorted({r["threads"] for r in rows}):
-        lines.append(f"OPENBLAS_NUM_THREADS={threads}")
-        mine = sorted((r for r in rows if r["threads"] == threads), key=lambda r: (r["criterion"], r["seed"]))
-        for r in mine:
-            if r["criterion"] == 6:
-                late = ",".join(map(str, r["late_below_090"])) or "none"
-                lines.append(f"  c6 seed {r['seed']}: final OA {r['final_oa']:.3f}; "
-                             f"epochs 100-149 below 0.90: {late}")
-            else:
-                lines.append(f"  c7 seed {r['seed']}: scratch {r['scratch_oa']:.3f}, "
-                             f"ssl {r['ssl_oa']:.3f}, gap {r['gap']:+.3f}")
-        gaps = {r["seed"]: r["gap"] for r in mine if r["criterion"] == 7}
-        for name, group in (("seeds 1-3", [1, 2, 3]), ("all seeds run", seeds)):
-            if all(s in gaps for s in group):
-                mean = sum(gaps[s] for s in group) / len(group)
-                lines.append(f"  c7 mean gap, {name}: {mean:+.3f}")
+    for r in sorted(rows, key=lambda r: (r["criterion"], r["seed"])):
+        if r["criterion"] == 6:
+            late = ",".join(map(str, r["late_below_090"])) or "none"
+            lines.append(f"c6 seed {r['seed']}: final OA {r['final_oa']:.3f}; "
+                         f"epochs 100-149 below 0.90: {late}")
+        else:
+            lines.append(f"c7 seed {r['seed']}: scratch {r['scratch_oa']:.3f}, "
+                         f"ssl {r['ssl_oa']:.3f}, gap {r['gap']:+.3f}")
+    gaps = {r["seed"]: r["gap"] for r in rows if r["criterion"] == 7}
+    for name, group in (("seeds 1-3", [1, 2, 3]), ("all seeds run", seeds)):
+        if all(s in gaps for s in group):
+            mean = sum(gaps[s] for s in group) / len(group)
+            lines.append(f"c7 mean gap, {name}: {mean:+.3f}")
     return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="1-6", help="seeds, e.g. 1-6 or 1,4 (default 1-6)")
-    parser.add_argument("--threads", default="1,2", help="BLAS thread counts (default 1,2)")
     parser.add_argument("--criteria", default="6,7", help="criteria to run (default 6,7)")
     parser.add_argument("--jobs", type=int, default=1, help="processes at once (default 1)")
     parser.add_argument("--src", type=Path, default=SRC, help="the sslcrop source tree to run")
@@ -163,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     seeds, criteria = _numbers(args.seeds), _numbers(args.criteria)
     if not set(criteria) <= {6, 7}:
         parser.error(f"--criteria: only 6 and 7 can be swept, got {args.criteria}")
-    jobs = [(c, s, t) for t in _numbers(args.threads) for c in criteria for s in seeds]
+    jobs = [(c, s) for c in criteria for s in seeds]
     with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
         rows = list(pool.map(lambda job: run_child(args.src.resolve(), *job), jobs))
     print("\n".join(report(rows, seeds)))

@@ -105,7 +105,6 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("synth_time_jitter", float, "synth.time_jitter_sd"),
     Setting("synth_amp_jitter", float, "synth.amp_jitter_sd"),
     Setting("synth_year_effect", float, "synth.year_effect_sd"),
-    Setting("collapse_factor", float, "train.collapse_threshold_factor"),
     Setting("batch_size", int, "train.batch_size"),
     Setting("epochs_supervised", int, "train.epochs_supervised"),
     Setting("epochs_pretrain", int, "train.epochs_pretrain"),
@@ -219,15 +218,12 @@ def resolve_settings(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _sections(s: dict[str, object]) -> dict[str, dict[str, object]]:
-    """Each config section's keyword arguments from settings `s` (values or their text)."""
+    """Each config section's keyword arguments from the parsed settings `s`."""
     kwargs: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
     for row in SETTINGS:
-        value = s[row.key]
-        if row.fields and isinstance(value, str):
-            value = _parse(row, value, row.key)
         for target in row.fields.split():
             section, name = target.split(".")
-            kwargs[section][name] = value
+            kwargs[section][name] = s[row.key]
     return kwargs
 
 
@@ -548,9 +544,7 @@ def _cmd_matrix(args, settings, out_dir) -> None:
 def _cmd_export_embeddings(args, settings, out_dir) -> None:
     config = settings_to_runconfig(settings, method="tf")
     dataset, _ = _preprocess(config)
-    if args.source == "encoder":
-        if not args.checkpoint:
-            raise ConfigError("--source encoder needs --checkpoint")
+    if args.checkpoint is not None:  # the encoder's embeddings; without a checkpoint, the raw series
         state = M.load_checkpoint(args.checkpoint)
         _check_checkpoint(args.checkpoint, state, dataset)
         X = M.encoder_batch(s.reflectance for s in dataset.samples)
@@ -585,8 +579,7 @@ COMMANDS = {
     "matrix": Command("methods x scenarios grid, summary CSV", _cmd_matrix,
                       {"methods": {}, "scenarios": {}}),
     "export-embeddings": Command("2-D PCA coordinates as CSV", _cmd_export_embeddings, {
-        "source": {"choices": ("raw", "encoder"), "default": "raw"},
-        "checkpoint": {"help": "needed for --source encoder"}, **_CSV}),
+        "checkpoint": {"help": "embed with this encoder (default: the raw series)"}, **_CSV}),
     "run": Command("full single-scenario pipeline (any method)", _cmd_run,
                    {"method": {}, "aug": {}, "finetune_mode": {}}),
 }

@@ -157,18 +157,18 @@ class Dataset:
 class ScenarioSpec:
     """Which samples may be trained on and which are held out.
 
-    e1: stratified 75/25 split over all years.
+    e1: the paper's stratified 75/25 split over all years.
     e2: train on non-target years only, test on the target year.
     e3/e4: like e2, but 5% / 10% of target-year samples move into train.
     """
 
     kind: str
     target_year: int | None = None
-    train_fraction: float = 0.75
     target_label_fraction: float | None = None
     seed: int = 0
     e1_stratify: str = "class"  # "class" or "year_class"
 
+    _E1_TRAIN_FRACTION = 0.75
     _FRACTIONS = {"e2": 0.0, "e3": 0.05, "e4": 0.10}
 
     def __post_init__(self):
@@ -364,7 +364,7 @@ def make_split(d: Dataset, spec: ScenarioSpec) -> tuple[Dataset, Dataset, tuple[
     rng = seeding.stream(spec.seed, "split")
     if spec.kind == "e1":
         groups = _strata(d, range(len(d)), by_year=spec.e1_stratify == "year_class")
-        train = set(_stratified_draw(groups, _allocate_train_counts(groups, spec.train_fraction), rng))
+        train = set(_stratified_draw(groups, _allocate_train_counts(groups, spec._E1_TRAIN_FRACTION), rng))
         test = (i for i in range(len(d)) if i not in train)
         return d.subset(sorted(train)), d.subset(test), ()
 

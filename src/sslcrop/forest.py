@@ -1,8 +1,8 @@
 """Random forest on flattened band x step features, built from scratch.
 
-CART trees with Gini impurity, bootstrap resampling, a random feature
-subset re-drawn at every node, and midpoint thresholds between adjacent
-distinct values.  Each tree owns a generator spawned deterministically
+CART trees with Gini impurity, each grown on a bootstrap resample, a random
+feature subset re-drawn at every node, and midpoint thresholds between
+adjacent distinct values.  Each tree owns a generator spawned deterministically
 from the forest seed, so results are independent of fit/predict order.
 
 Split search (XGBoost's column-block exact search, arXiv:1603.02754): a
@@ -32,7 +32,6 @@ class ForestConfig:
     max_features: int | None = None  # None -> floor(sqrt(n_features))
     min_leaf: int = 1
     max_depth: int | None = None
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -145,7 +144,7 @@ def rf_fit(train: Dataset, cfg: ForestConfig = ForestConfig()) -> Forest:
     trees = []
     for seq in seqs:
         rng = np.random.Generator(np.random.PCG64(seq))
-        idx = rng.integers(0, len(X), len(X)) if cfg.bootstrap else np.arange(len(X))
+        idx = rng.integers(0, len(X), len(X))
         trees.append(DecisionTree(_grow(X[idx], y[idx], cfg, rng)))
     return Forest(trees, X.shape[1])
 

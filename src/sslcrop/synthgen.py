@@ -5,7 +5,9 @@ rise, senescence fall) in digital numbers.  Years share profiles up to a
 small per-year season offset; one optional "divergent" year gets a larger
 phenology shift and damped amplitude, emulating a season whose weather
 moved the whole spectral fingerprint.  Gaussian noise and additive cloud
-spikes complete the picture.
+spikes complete the picture.  The tables below are written for all 13
+`CANONICAL_BANDS` on the `N_STEPS` grid, so that is what is generated; band
+selection and step truncation come after, in preprocessing.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ class SynthConfig:
     time_jitter_sd: float = 0.4     # per-sample green-up/senescence jitter, steps
     amp_jitter_sd: float = 0.08     # per-sample relative amplitude jitter
     year_effect_sd: float = 0.25    # per-year season offset, steps
-    n_steps: int = 14
-    bands: tuple[str, ...] = CANONICAL_BANDS
     seed: int = 0
 
     def __post_init__(self):
@@ -52,8 +52,10 @@ class SynthConfig:
             raise ValueError(f"years must be non-empty without repeats, got {self.years}")
 
 
+N_STEPS = 14  # biweekly, February through August
+
 # Class-level season timing: the green-up and senescence midpoints (step
-# indices on the 14-step grid), then the per-step logistic rates of the rise
+# indices on the N_STEPS grid), then the per-step logistic rates of the rise
 # and the fall.  Winter barley and winter wheat are deliberately close, the
 # hard pair of the six.
 _CLASS_SEASONS = {
@@ -108,15 +110,15 @@ def generate(cfg: SynthConfig) -> Dataset:
     steps; the double-logistic curves of a (year, class) group's samples are
     then computed in one array expression."""
     # per band, as (bands, 1) columns: the baseline, and each class's amplitude
-    baseline = np.array([_BAND_BASE[band] for band in cfg.bands])[:, None]
+    baseline = np.array([_BAND_BASE[band] for band in CANONICAL_BANDS])[:, None]
     amplitude = {crop: np.array([_CLASS_AMPLITUDE[crop] * _BAND_RESPONSE[band]
-                                 * _FINGERPRINT.get((crop, band), 1.0) for band in cfg.bands])[:, None]
+                                 * _FINGERPRINT.get((crop, band), 1.0) for band in CANONICAL_BANDS])[:, None]
                  for crop in CropClass}
 
     rng = seeding.stream(cfg.seed, "synth")
     year_shift = {y: rng.normal(0.0, cfg.year_effect_sd) for y in cfg.years}
-    t = np.arange(cfg.n_steps, dtype=np.float64)
-    n, shape = cfg.n_per_class_per_year, (len(cfg.bands), cfg.n_steps)
+    t = np.arange(N_STEPS, dtype=np.float64)
+    n, shape = cfg.n_per_class_per_year, (len(CANONICAL_BANDS), N_STEPS)
 
     samples: list[Sample] = []
     for year in cfg.years:
@@ -125,7 +127,7 @@ def generate(cfg: SynthConfig) -> Dataset:
         amp_factor = cfg.amplitude_scale if divergent else 1.0
         for crop in CropClass:
             shift, amp = np.empty((n, 1, 1)), np.empty((n, 1, 1))
-            noise, cloudy = np.empty((n,) + shape), np.empty((n, 1, cfg.n_steps), dtype=bool)
+            noise, cloudy = np.empty((n,) + shape), np.empty((n, 1, N_STEPS), dtype=bool)
             for i in range(n):
                 t_jit = rng.normal(0.0, cfg.time_jitter_sd)
                 a_jit = max(0.1, 1.0 + rng.normal(0.0, cfg.amp_jitter_sd))
@@ -133,7 +135,7 @@ def generate(cfg: SynthConfig) -> Dataset:
                 # Noise and cloud draws are unconditional so that changing
                 # noise_sd or cloud_prob leaves every other draw untouched.
                 noise[i] = rng.normal(0.0, cfg.noise_sd, shape)
-                cloudy[i] = rng.random(cfg.n_steps) < cfg.cloud_prob
+                cloudy[i] = rng.random(N_STEPS) < cfg.cloud_prob
             green_up, senescence, slope_up, slope_down = _CLASS_SEASONS[crop]
             rise = 1.0 / (1.0 + np.exp(-slope_up * (t - (green_up + shift))))
             fall = 1.0 / (1.0 + np.exp(-slope_down * (t - (senescence + shift))))
@@ -141,4 +143,4 @@ def generate(cfg: SynthConfig) -> Dataset:
             values = np.maximum(curve + noise, 0.0) + cfg.cloud_dn * cloudy
             samples += [Sample(f"synth-{year}-c{int(crop)}-{i:03d}", year, crop, v)
                         for i, v in enumerate(values)]
-    return Dataset(tuple(samples), cfg.bands, cfg.n_steps)
+    return Dataset(tuple(samples), CANONICAL_BANDS, N_STEPS)

@@ -81,7 +81,6 @@ class TrainConfig:
     seed: int = 0
     finetune_mode: str = "full"  # "full" | "linear"
     collapse_warmup_epochs: int = 300
-    collapse_threshold_factor: float = 0.25
     # threads of a pre-training step (1 runs the views serially); None: branch_threads().
     # Results do not depend on it.
     branch_threads: int | None = None
@@ -275,10 +274,10 @@ def pretrain(
     """Siamese pre-training over positive pairs drawn by policy `aug` (one of `KINDS`).
 
     Records the collapse metric of each epoch's projections and raises the
-    warning flag if, past the warm-up epoch, it falls below
-    collapse_threshold_factor / sqrt(head_out).  Computes in float32 with
-    OpenBLAS on one thread and the two views in `cfg.branch_threads` threads;
-    the caller's BLAS thread count is restored and no thread outlives the call.
+    warning flag if, past the warm-up epoch, it falls below 0.25 / sqrt(head_out),
+    a quarter of the healthy level (SimSiam, arXiv:2011.10566).  Computes in
+    float32 with OpenBLAS on one thread and the two views in `cfg.branch_threads`
+    threads; the caller's BLAS thread count is restored and no thread outlives the call.
     """
     if aug not in KINDS:
         raise ValueError(f"unknown augmentation kind {aug!r}; choose from {KINDS}")
@@ -297,7 +296,7 @@ def pretrain(
             return _siamese_step(branch_pool, state, params, x1, x2)
 
         _sgd("pretrain", len(pool), params, cfg, cfg.epochs_pretrain, trace, step)
-    floor = cfg.collapse_threshold_factor / math.sqrt(simsiam.head_out)
+    floor = 0.25 / math.sqrt(simsiam.head_out)
     trace.collapse_warning = any(metric < floor for metric in trace.collapse[cfg.collapse_warmup_epochs:])
     return state, trace
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sslcrop import cli
+from sslcrop import blas, cli
 from sslcrop import evaluation as E
 from sslcrop import model as M
 from sslcrop.cli import main, run, run_matrix
@@ -98,7 +98,8 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        for key, value in (("bogus", "1"), ("spike_both", "on"), ("dn_scale", "5000")):  # removed keys
+        removed = (("spike_both", "on"), ("dn_scale", "5000"), ("collapse_factor", "0.25"))
+        for key, value in (("bogus", "1"),) + removed:
             cfg.write_text(f"{key} = {value}\n")
             with pytest.raises(cli.ConfigError, match=re.escape(f"{cfg}:1: unknown key '{key}'")):
                 list(cli._config_entries(cfg))
@@ -201,16 +202,6 @@ class TestSettingsTable:
         shape = dict(n_bands=13, n_steps=14)
         assert EncoderConfig(**shape, **dict(config.encoder_overrides)) == EncoderConfig(**shape)
 
-    def test_builders_accept_values_as_text(self):
-        as_text = dict(cli.DEFAULTS, seed="4", lr="0.5", synth_years="2017, 2018", bands="B02,B03",
-                       finetune_mode="linear", max_depth="none", aug2_unlabeled_target="off", aug="aug3")
-        values = dict(cli.DEFAULTS, seed=4, lr=0.5, synth_years=(2017, 2018), bands=("B02", "B03"),
-                      finetune_mode="linear", aug2_unlabeled_target=False, aug="aug3")
-        for method in ("tf", "ssl"):
-            assert (cli.settings_to_runconfig(as_text, method=method)
-                    == cli.settings_to_runconfig(values, method=method))
-        assert cli.settings_to_synthconfig(as_text) == cli.settings_to_synthconfig(values)
-
 
 class TestRun:
     def test_rf_report_schema(self):
@@ -271,7 +262,7 @@ class TestMatrix:
 
     def test_failing_cell_yields_error_token(self, tmp_path):
         settings = tiny_settings(methods="rf", scenarios="e1,e2")
-        settings["synth_years"] = "2018"  # e2 needs a non-target year -> cell error
+        settings["synth_years"] = (2018,)  # e2 needs a non-target year -> cell error
         settings["synth_divergent_year"] = 2018
         summary = run_matrix(settings, tmp_path, jobs=1)
         row = summary.strip().split("\n")[2].split(",")
@@ -754,7 +745,7 @@ class TestCommands:
     @pytest.mark.parametrize("command, flags", [
         (["eval", "--contrastive"], ["--bands", "B02,B04"]),
         (["finetune"], ["--drop-leading", "2"]),
-        (["export-embeddings", "--source", "encoder", "--csv", "emb.csv"], ["--drop-leading", "2"]),
+        (["export-embeddings", "--csv", "emb.csv"], ["--drop-leading", "2"]),
     ])
     def test_checkpoint_data_mismatch_fails_before_split_or_training(self, tmp_path, capsys, monkeypatch,
                                                                       command, flags):
@@ -810,7 +801,7 @@ class TestCommands:
 
     def test_export_embeddings_raw(self, tmp_path):
         csv = tmp_path / "emb.csv"
-        rc = main(["export-embeddings", "--source", "raw", "--csv", str(csv),
+        rc = main(["export-embeddings", "--csv", str(csv),
                    "--synth-n", "3", "--seed", "1"])
         assert rc == 0
         lines = csv.read_text().strip().split("\n")
@@ -825,14 +816,37 @@ class TestCommands:
                 "--n-heads", "2", "--n-layers", "1", "--ff-dim", "16", "--batch-size", "16"]
         assert main(["pretrain", "--aug", "aug1", "--epochs-pretrain", "1"] + base) == 0
         csv = tmp_path / "emb.csv"
-        rc = main(["export-embeddings", "--source", "encoder", "--checkpoint",
-                   str(tmp_path / "pretrained.json"), "--csv", str(csv)] + base)
+        rc = main(["export-embeddings", "--checkpoint", str(tmp_path / "pretrained.json"),
+                   "--csv", str(csv)] + base)
         assert rc == 0
         lines = csv.read_text().strip().split("\n")
         assert len(lines) == 1 + 6 * 3 * 3  # batch 16 splits the 54 series into 4 batches
         assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
 
-    def test_export_embeddings_encoder_needs_checkpoint(self, tmp_path):
-        rc = main(["export-embeddings", "--source", "encoder",
-                   "--csv", str(tmp_path / "x.csv"), "--synth-n", "2"])
-        assert rc == 1
+    def test_a_checkpoint_exports_the_encoders_embeddings(self, tmp_path):
+        base = ["--seed", "3", "--synth-n", "3", "--batch-size", "16"]
+        enc = EncoderConfig(n_bands=13, n_steps=14, d_model=8, n_heads=2, n_layers=1, ff_dim=16)
+        state = M.init_model(enc, seed=5)
+        checkpoint = tmp_path / "pretrained.json"
+        checkpoint.write_text(M.checkpoint_text(state))
+        raw, encoded = tmp_path / "raw.csv", tmp_path / "encoded.csv"
+        assert main(["export-embeddings", "--csv", str(raw)] + base) == 0
+        assert main(["export-embeddings", "--checkpoint", str(checkpoint), "--csv", str(encoded)] + base) == 0
+        dataset = cli._preprocess(cli.settings_to_runconfig(dict(cli.DEFAULTS, seed=3, synth_n=3)))[0]
+        X = M.encoder_batch(s.reflectance for s in dataset.samples)
+        with blas.one_thread():  # as every command runs
+            coords, _ = E.pca_project(M.encode_batched(state, X, 16), k=2)
+        rows = [line.split(",") for line in encoded.read_text().splitlines()[1:]]
+        assert [[float(pc1), float(pc2)] for _, _, pc1, pc2 in rows] == coords.tolist()
+        assert encoded.read_bytes() != raw.read_bytes()
+
+    @pytest.mark.parametrize("command", [["export-embeddings", "--csv", "emb.csv", "--source", "encoder"],
+                                         ["run", "--collapse-factor", "0.25"]],
+                             ids=["export-embeddings --source", "run --collapse-factor"])
+    def test_removed_flags_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(command[-2:]) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

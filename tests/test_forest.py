@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sslcrop import forest as forest_mod
+from sslcrop import seeding
 from sslcrop.dataio import N_CLASSES, CropClass, Dataset, Sample
-from sslcrop.forest import Forest, ForestConfig, TreeNode, rf_fit, rf_predict
+from sslcrop.forest import DecisionTree, Forest, ForestConfig, TreeNode, rf_fit, rf_predict
 
 
 def dataset_from_features(X, labels):
@@ -15,6 +16,16 @@ def dataset_from_features(X, labels):
         for i, (row, y) in enumerate(zip(X, labels))
     )
     return Dataset(samples, ("B01",), len(X[0]))
+
+
+def fit_on_every_sample(train, cfg):
+    """`rf_fit`'s forest, but each tree grown by `forest._grow` on all of `train`, not
+    on a bootstrap resample: the trees `rf_fit` would grow from the same generators."""
+    X, y = train.feature_matrix(), train.labels_array() - 1
+    seqs = seeding.seed_sequence(cfg.seed, "forest").spawn(cfg.n_trees)
+    trees = [DecisionTree(forest_mod._grow(X, y, cfg, np.random.Generator(np.random.PCG64(seq))))
+             for seq in seqs]
+    return Forest(trees, X.shape[1])
 
 
 class TestGini:
@@ -36,7 +47,7 @@ class TestFit:
         X = [[v] for v in (1.0, 2.0, 3.0, 7.0, 8.0, 9.0)]
         y = [1, 1, 1, 2, 2, 2]
         d = dataset_from_features(X, y)
-        forest = rf_fit(d, ForestConfig(n_trees=5, bootstrap=False, seed=0))
+        forest = fit_on_every_sample(d, ForestConfig(n_trees=5, seed=0))
         for tree in forest.trees:
             assert tree.root.feature == 0
             assert 3.0 < tree.root.threshold < 7.0
@@ -54,7 +65,7 @@ class TestFit:
         X = rng.normal(size=(40, 5)) + 10.0
         y = (rng.integers(1, 7, size=40)).tolist()
         d = dataset_from_features(X.tolist(), y)
-        forest = rf_fit(d, ForestConfig(n_trees=1, bootstrap=False, max_features=5, seed=2))
+        forest = fit_on_every_sample(d, ForestConfig(n_trees=1, max_features=5, seed=2))
         assert np.array_equal(rf_predict(forest, d), np.array(y))
 
     def test_empty_dataset_rejected(self):
@@ -82,18 +93,16 @@ class TestFit:
 class TestPredict:
     def test_single_tree_forest_uses_leaf_majority(self):
         d = dataset_from_features([[1.0], [2.0], [9.0]], [1, 1, 3])
-        forest = rf_fit(d, ForestConfig(n_trees=1, bootstrap=False, seed=0))
+        forest = fit_on_every_sample(d, ForestConfig(n_trees=1, seed=0))
         assert np.array_equal(rf_predict(forest, d), np.array([1, 1, 3]))
 
     def test_unanimous_vote(self):
         d = dataset_from_features([[1.0], [9.0]], [2, 5])
-        forest = rf_fit(d, ForestConfig(n_trees=9, bootstrap=False, seed=0))
+        forest = fit_on_every_sample(d, ForestConfig(n_trees=9, seed=0))
         assert np.array_equal(rf_predict(forest, d), np.array([2, 5]))
 
     def test_tie_breaks_to_lowest_class(self):
         # two constructed leaf-only trees voting c1 and c3 respectively
-        from sslcrop.forest import DecisionTree, TreeNode
-
         t1 = DecisionTree(TreeNode(np.array([5.0, 0.0, 0.0, 0.0, 0.0, 0.0])))
         t3 = DecisionTree(TreeNode(np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])))
         forest = Forest([t1, t3], 1)

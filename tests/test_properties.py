@@ -22,7 +22,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from sslcrop import augment  # noqa: E402
 from sslcrop.augment import aug1_pair, aug2  # noqa: E402
 from sslcrop.dataio import (  # noqa: E402
-    CANONICAL_BANDS, CropClass, Dataset, Sample, ScenarioSpec, load_csv, make_split, write_csv,
+    CANONICAL_BANDS, CropClass, Dataset, Sample, ScenarioSpec, _allocate_train_counts, _strata, load_csv,
+    make_split, write_csv,
 )
 
 settings.register_profile("sslcrop", derandomize=True, database=None, deadline=None, max_examples=60,
@@ -63,20 +64,26 @@ def ids(d):
 
 
 class TestSplitInvariants:
-    @given(strata(), st.sampled_from([0.5, 0.75, 0.9]), st.sampled_from(["class", "year_class"]),
-           st.integers(0, 2**31))
-    def test_e1_disjoint_covering_and_stratum_counts(self, counts, fraction, stratify, seed):
+    @given(strata(), st.sampled_from(["class", "year_class"]), st.integers(0, 2**31))
+    def test_e1_disjoint_covering_and_stratum_counts(self, counts, stratify, seed):
         d = dataset_of(counts)
-        train, test, moved = make_split(d, ScenarioSpec("e1", train_fraction=fraction, seed=seed,
-                                                        e1_stratify=stratify))
+        train, test, moved = make_split(d, ScenarioSpec("e1", seed=seed, e1_stratify=stratify))
         assert moved == ()
         assert not set(ids(train)) & set(ids(test))
         assert sorted(ids(train) + ids(test)) == sorted(ids(d))
-        assert len(train) == math.floor(fraction * len(d))
+        assert len(train) == math.floor(0.75 * len(d))
         key = (lambda s: (s.year, int(s.label))) if stratify == "year_class" else (lambda s: int(s.label))
         total, in_train = Counter(map(key, d.samples)), Counter(map(key, train.samples))
         for k, n in total.items():  # largest remainder: each stratum gets floor or floor + 1
-            assert in_train[k] - math.floor(fraction * n) in (0, 1), k
+            assert in_train[k] - math.floor(0.75 * n) in (0, 1), k
+
+    @given(strata(), st.sampled_from([0.5, 0.75, 0.9]), st.booleans())
+    def test_largest_remainder_allocation_at_any_fraction(self, counts, fraction, by_year):
+        groups = _strata(dataset_of(counts), range(sum(counts.values())), by_year)
+        allocated = _allocate_train_counts(groups, fraction)
+        assert sum(allocated.values()) == math.floor(fraction * sum(counts.values()))
+        for k, members in groups.items():  # each stratum gets floor or floor + 1
+            assert allocated[k] - math.floor(fraction * len(members)) in (0, 1), k
 
     @given(strata(min_per_stratum=1), st.sampled_from(["e2", "e3", "e4"]), st.integers(0, 2**31))
     def test_target_year_scenarios_move_their_share_per_class(self, counts, kind, seed):
