@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from sslcrop import cli, seeding
 from sslcrop import forest as forest_mod
-from sslcrop import seeding
 from sslcrop.dataio import N_CLASSES, CropClass, Dataset, Sample
 from sslcrop.forest import DecisionTree, Forest, ForestConfig, TreeNode, rf_fit, rf_predict
 
@@ -237,3 +238,55 @@ class TestBlockSplitSearch:
         forest = rf_fit(d, ForestConfig(n_trees=2, max_features=1, seed=0))
         for tree in forest.trees:
             assert tree.root.feature == -1
+
+    @pytest.mark.parametrize("case", ["min_leaf_2", "min_leaf_5", "two_samples",
+                                      "two_samples_min_leaf_2", "absent_classes",
+                                      "constant_block"])
+    def test_block_matches_scalar_reference(self, case):
+        """Every column's split from one block pass equals the scalar search's, bit for bit."""
+        rng = np.random.default_rng(4)
+        X = np.round(rng.normal(size=(40, 7)) * 3.0, 1)
+        X[:, 3] = 2.0
+        y = rng.integers(0, N_CLASSES, size=40)
+        min_leaf = 1
+        if case.startswith("min_leaf"):
+            min_leaf = int(case[-1])
+        elif case.startswith("two_samples"):
+            X = np.array([[1.0, 4.0, 3.0], [2.0, 4.0, -1.0]])
+            y = np.array([5, 2])
+            min_leaf = 2 if case.endswith("2") else 1
+        elif case == "absent_classes":
+            y = np.array([0, 3, 5])[rng.integers(0, 3, size=40)]
+        elif case == "constant_block":
+            X = np.tile(np.array([3.0, -1.0, 0.0, 7.5]), (40, 1))
+        gini, thr, valid = forest_mod._block_splits(X, y, min_leaf)
+        for j in range(X.shape[1]):
+            ref = _reference_best_split(X[:, j], y, min_leaf)
+            if ref is None:
+                assert not valid[j] and gini[j] == np.inf
+            else:
+                assert valid[j] and (float(gini[j]), float(thr[j])) == ref
+        if case in ("two_samples_min_leaf_2", "constant_block"):
+            assert not valid.any()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGolden:
+    def test_rf_matrix_artifacts(self, tmp_path):
+        """Every byte of a small rf matrix's reports and summary, as the forest grew them."""
+        settings = dict(cli.DEFAULTS, methods="rf", scenarios="e1,e2,e3,e4", target_year=2018,
+                        n_trees=16, synth_n=10, seed=7)
+        (tmp_path / "summary.csv").write_text(cli.run_matrix(settings, tmp_path, jobs=1))
+        digests = {name: _sha256(tmp_path / name) for name in (
+            "rf_e1/report.json", "rf_e2/report.json", "rf_e3/report.json", "rf_e4/report.json",
+            "summary.csv")}
+        assert digests == {
+            "rf_e1/report.json": "252cb3992fa3926fc15c05026fe573be3bac5b164c1e7a4a798d76815156bdb6",
+            "rf_e2/report.json": "26fbf840c3997ba6bc6ff21910639a96ad3cf03fc5f080407b572168a92403b5",
+            "rf_e3/report.json": "8ce4e6bf134e3b26ea2a34e94b752b7c23438f66e9b4b78236bab5ec8c9886a4",
+            "rf_e4/report.json": "08eb24370532ccc8b6d9f20cb163a493c295454fdca930e07ab1b1bb8dddf380",
+            "summary.csv": "a7909326ecdfdad7cf9080bd38db4a0c0b07379585d3b92650791a996fb28de5",
+        }
