@@ -13,6 +13,20 @@ boundary between distinct values with >= `min_leaf` samples per side.
 Columns without such a boundary do not count; the scan stops after the
 first `max_features` valid features.  Ties go to the feature scanned
 first, then to the smaller threshold.
+
+Every tree is node for node the one a plain per-feature search grows; the
+work is arranged for numpy:
+- A tree grows on the distinct samples its bootstrap drew, each weighted by
+  its number of draws.  Copies of a sample only add boundaries inside runs
+  of equal values, which never split, so every count at a valid boundary is
+  the resample's own, on about a third fewer rows.
+- Node-local gathers: the features are held feature-major, and a node
+  gathers only its block's columns and then the chosen feature's column.
+- Class-major scan: one cumulative sum gives the counts of each class
+  present (exact integers in float64); class by class, in class order, each
+  side's squared class share is added into that side's sum, the order a
+  left-to-right sum over the classes adds in.  An absent class would add
+  only zeros, so it is skipped.
 """
 
 from __future__ import annotations
@@ -72,53 +86,65 @@ class Forest:
     n_features: int
 
 
-def _block_splits(xb: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best split of each column of `xb` (n x k): gini (inf if none), threshold, valid."""
-    n, k = xb.shape
-    order = np.argsort(xb, axis=0, kind="stable")
-    xs = np.take_along_axis(xb, order, axis=0)
-    onehot = (y[order][:, :, None] == np.arange(N_CLASSES)).astype(np.float64)
-    cum = onehot.cumsum(axis=0)
-    # boundary b lies between sorted rows b and b + 1
-    nl = np.arange(1, n, dtype=np.float64)
-    nr = n - nl
-    left = cum[:-1]
-    right = cum[-1] - left
-    gl = 1.0 - ((left / nl[:, None, None]) ** 2).sum(axis=2)
-    gr = 1.0 - ((right / nr[:, None, None]) ** 2).sum(axis=2)
-    weighted = (nl[:, None] * gl + nr[:, None] * gr) / n
-    valid = (xs[:-1] < xs[1:]) & ((nl >= min_leaf) & (nr >= min_leaf))[:, None]
-    weighted[~valid] = np.inf
-    best = weighted.argmin(axis=0)  # first minimum -> smallest threshold
+def _block_splits(xb: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: int):
+    """Best split of each column of `xb` (n x k), sample i of class `y[i]` counting
+    `w[i]` times: gini (inf if none), threshold, valid."""
+    k = xb.shape[1]
+    xt = xb.T  # contiguous for `_grow`'s feature-major gathers
+    order = np.argsort(xt, axis=1)  # ties in any order: no boundary lies inside a run
     cols = np.arange(k)
-    thr = 0.5 * (xs[best, cols] + xs[best + 1, cols])
-    return weighted[best, cols], thr, valid.any(axis=0)
+    xs = xt[cols[:, None], order]
+    ws = w[order]
+    classes = np.flatnonzero(np.bincount(y))  # an absent class would only add zeros
+    cum = np.cumsum((y[order] == classes[:, None, None]) * ws, axis=2)  # exact integers
+    # boundary b lies between sorted positions b and b + 1
+    n = w.sum()
+    nl = np.cumsum(ws, axis=1)[:, :-1]
+    nr = n - nl
+    # squared class shares, left (sq[0]) and right (sq[1]), summed in class order
+    sq = np.empty((2,) + nl.shape)
+    g = np.zeros((2,) + nl.shape)
+    for cc in cum:
+        np.divide(cc[:, :-1], nl, out=sq[0])
+        np.subtract(cc[:, -1:], cc[:, :-1], out=sq[1])
+        sq[1] /= nr
+        sq *= sq
+        g += sq
+    weighted = (nl * (1.0 - g[0]) + nr * (1.0 - g[1])) / n  # each side's gini, weighted
+    weighted[(xs[:, :-1] == xs[:, 1:]) | (np.minimum(nl, nr) < min_leaf)] = np.inf
+    best = weighted.argmin(axis=1)  # first minimum -> smallest threshold
+    gini = weighted[cols, best]
+    thr = 0.5 * (xs[cols, best] + xs[cols, best + 1])
+    return gini, thr, gini < np.inf
 
 
-def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng: np.random.Generator) -> TreeNode:
+def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: ForestConfig,
+          rng: np.random.Generator) -> TreeNode:
+    """The tree on samples `X` of class `y`, sample i counting `w[i]` times."""
     n_features = X.shape[1]
     max_features = cfg.max_features or max(1, math.floor(math.sqrt(n_features)))
+    XT = np.ascontiguousarray(X.T)  # feature-major: a node gathers its samples of a few features
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
-        yi = y[idx]
-        counts = np.bincount(yi, minlength=N_CLASSES).astype(np.float64)
+        yi, wi = y[idx], w[idx]
+        counts = np.bincount(yi, wi, minlength=N_CLASSES)
         node = TreeNode(counts)
         if (
             (counts > 0).sum() <= 1
-            or len(idx) < 2 * cfg.min_leaf
+            or counts.sum() < 2 * cfg.min_leaf
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
         ):
             return node
         # Scan a random feature order block by block; stop once max_features
         # candidates produced a valid split (constant features do not count).
         perm = rng.permutation(n_features)
-        Xi = X[idx]
         best = None
         found = pos = 0
         while found < max_features and pos < n_features:
             block = perm[pos : pos + max_features - found]
             pos += len(block)
-            ginis, thrs, valid = _block_splits(Xi[:, block], yi, cfg.min_leaf)
+            xb = XT.take(block, axis=0).take(idx, axis=1)
+            ginis, thrs, valid = _block_splits(xb.T, yi, wi, cfg.min_leaf)
             found += int(valid.sum())
             j = int(ginis.argmin())  # first minimum -> earliest in scan order
             if valid[j] and (best is None or ginis[j] < best[0]):
@@ -126,7 +152,7 @@ def _grow(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng: np.random.Genera
         if best is None:
             return node
         _, node.feature, node.threshold = best
-        mask = Xi[:, node.feature] <= node.threshold
+        mask = XT[node.feature, idx] <= node.threshold
         node.left = build(idx[mask], depth + 1)
         node.right = build(idx[~mask], depth + 1)
         return node
@@ -139,13 +165,15 @@ def rf_fit(train: Dataset, cfg: ForestConfig = ForestConfig()) -> Forest:
     if len(train) == 0:
         raise ValueError("cannot fit a forest on an empty dataset")
     X = train.feature_matrix()
+    XT = np.ascontiguousarray(X.T)  # each tree's bootstrap gathers columns, already feature-major
     y = train.labels_array() - 1
     seqs = seeding.seed_sequence(cfg.seed, "forest").spawn(cfg.n_trees)
     trees = []
     for seq in seqs:
         rng = np.random.Generator(np.random.PCG64(seq))
-        idx = rng.integers(0, len(X), len(X))
-        trees.append(DecisionTree(_grow(X[idx], y[idx], cfg, rng)))
+        rows, draws = np.unique(rng.integers(0, len(X), len(X)), return_counts=True)
+        trees.append(DecisionTree(_grow(XT.take(rows, axis=1).T, y[rows],
+                                        draws.astype(np.float64), cfg, rng)))
     return Forest(trees, X.shape[1])
 
 

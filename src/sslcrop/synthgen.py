@@ -48,6 +48,8 @@ class SynthConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and at least 0, got {value}")
+        if not all(isinstance(year, int) and not isinstance(year, bool) for year in self.years):
+            raise ValueError(f"years must be integers, got {self.years!r}")
         if not self.years or len(set(self.years)) < len(self.years):
             raise ValueError(f"years must be non-empty without repeats, got {self.years}")
 

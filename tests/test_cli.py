@@ -48,6 +48,14 @@ def tiny_settings(**overrides):
     return s
 
 
+def tagged(cases):
+    """`parametrize` arguments for `(tag, flags, message)` cases, each case's id
+    `<tag>-<message>`: the tag sits on the case's own line, so removing a case
+    renames no other (the tags are the positional ids the cases once had)."""
+    return dict(argvalues=[(flags, message) for _, flags, message in cases],
+                ids=[f"{tag}-{message}" for tag, _, message in cases])
+
+
 def openblas_thread_functions():
     """(get, set) of this process's OpenBLAS thread count, or (None, None)."""
     with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -384,17 +392,17 @@ class TestMatrix:
             set_(before)
         assert summary.splitlines()[2] == "rf,1,1"
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--methods", ""], "methods"),
-        (["--scenarios", " , "], "scenarios"),
-        (["--jobs", "0"], "--jobs"),
-        (["--methods", "rf,ssl:aug9"], "aug9"),
-        (["--scenarios", "e1,e9"], "e9"),
-        (["--methods", "rf,rf"], "methods"),
-        (["--methods", "ssl:aug1,ssl:aug1"], "methods"),
-        (["--scenarios", "e1,E1"], "scenarios"),  # one scenario, as ScenarioSpec compares them
-        (["--drop-leading", "14"], "drop_leading 14 out of range for 14 steps"),  # before any cell runs
-    ])
+    @pytest.mark.parametrize("flags, message", **tagged([
+        ("flags0", ["--methods", ""], "methods"),
+        ("flags1", ["--scenarios", " , "], "scenarios"),
+        ("flags2", ["--jobs", "0"], "--jobs"),
+        ("flags3", ["--methods", "rf,ssl:aug9"], "aug9"),
+        ("flags4", ["--scenarios", "e1,e9"], "e9"),
+        ("flags5", ["--methods", "rf,rf"], "methods"),
+        ("flags6", ["--methods", "ssl:aug1,ssl:aug1"], "methods"),
+        ("flags7", ["--scenarios", "e1,E1"], "scenarios"),  # one scenario, as ScenarioSpec compares them
+        ("flags8", ["--drop-leading", "14"], "drop_leading 14 out of range for 14 steps"),  # before any cell runs
+    ]))
     def test_bad_matrix_input_fails_early(self, tmp_path, capsys, flags, message):
         rc = main(["matrix", "--out", str(tmp_path / "out"), "--synth-n", "2"] + flags)
         assert rc == 1
@@ -598,28 +606,28 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "RF"
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--d-model", "0"], "d_model must be at least 1, got 0"),
-        (["--d-model", "-4"], "d_model must be at least 1, got -4"),
-        (["--n-heads", "0"], "n_heads must be at least 1, got 0"),
-        (["--n-heads", "-2"], "n_heads must be at least 1, got -2"),
-        (["--ff-dim", "0"], "ff_dim must be at least 1, got 0"),
-        (["--n-layers", "-1"], "n_layers must not be negative, got -1"),
-        (["--lr", "nan"], "lr must be finite and positive, got nan"),
-        (["--lr", "inf"], "lr must be finite and positive, got inf"),
-        (["--lr", "0"], "lr must be finite and positive, got 0.0"),
-        (["--lr", "-1"], "lr must be finite and positive, got -1.0"),
-        (["--weight-decay", "-0.1"], "weight_decay must be finite and at least 0, got -0.1"),
-        (["--weight-decay", "inf"], "weight_decay must be finite and at least 0, got inf"),
-        (["--momentum", "-1"], "momentum must lie in [0, 1), got -1.0"),
-        (["--momentum", "1"], "momentum must lie in [0, 1), got 1.0"),
-        (["--momentum", "nan"], "momentum must lie in [0, 1), got nan"),
-        (["--batch-size", "0"], "batch_size must be positive, got 0"),
-        (["--head-out", "0"], "head_out must be at least 1, got 0"),
-        (["--proj-hidden", "-1"], "proj_hidden must be at least 1, got -1"),
-        (["--n-trees", "0"], "n_trees must be at least 1, got 0"),
-        (["--min-leaf", "0"], "min_leaf must be at least 1, got 0"),
-    ])
+    @pytest.mark.parametrize("flags, message", **tagged([
+        ("flags0", ["--d-model", "0"], "d_model must be at least 1, got 0"),
+        ("flags1", ["--d-model", "-4"], "d_model must be at least 1, got -4"),
+        ("flags2", ["--n-heads", "0"], "n_heads must be at least 1, got 0"),
+        ("flags3", ["--n-heads", "-2"], "n_heads must be at least 1, got -2"),
+        ("flags4", ["--ff-dim", "0"], "ff_dim must be at least 1, got 0"),
+        ("flags5", ["--n-layers", "-1"], "n_layers must not be negative, got -1"),
+        ("flags6", ["--lr", "nan"], "lr must be finite and positive, got nan"),
+        ("flags7", ["--lr", "inf"], "lr must be finite and positive, got inf"),
+        ("flags8", ["--lr", "0"], "lr must be finite and positive, got 0.0"),
+        ("flags9", ["--lr", "-1"], "lr must be finite and positive, got -1.0"),
+        ("flags10", ["--weight-decay", "-0.1"], "weight_decay must be finite and at least 0, got -0.1"),
+        ("flags11", ["--weight-decay", "inf"], "weight_decay must be finite and at least 0, got inf"),
+        ("flags12", ["--momentum", "-1"], "momentum must lie in [0, 1), got -1.0"),
+        ("flags13", ["--momentum", "1"], "momentum must lie in [0, 1), got 1.0"),
+        ("flags14", ["--momentum", "nan"], "momentum must lie in [0, 1), got nan"),
+        ("flags15", ["--batch-size", "0"], "batch_size must be positive, got 0"),
+        ("flags16", ["--head-out", "0"], "head_out must be at least 1, got 0"),
+        ("flags17", ["--proj-hidden", "-1"], "proj_hidden must be at least 1, got -1"),
+        ("flags18", ["--n-trees", "0"], "n_trees must be at least 1, got 0"),
+        ("flags19", ["--min-leaf", "0"], "min_leaf must be at least 1, got 0"),
+    ]))
     def test_bad_model_or_training_setting_fails_naming_the_field(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
         rc = main(["run", "--method", "tf", "--synth-n", "2", "--epochs-supervised", "1",
@@ -628,18 +636,18 @@ class TestCommands:
         assert capsys.readouterr().err == f"sslcrop: error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--synth-noise-sd", "-1"], "noise_sd must be finite and at least 0, got -1.0"),
-        (["--synth-noise-sd", "nan"], "noise_sd must be finite and at least 0, got nan"),
-        (["--synth-year-effect", "-0.5"], "year_effect_sd must be finite and at least 0, got -0.5"),
-        (["--synth-time-jitter", "inf"], "time_jitter_sd must be finite and at least 0, got inf"),
-        (["--synth-amp-jitter", "-0.1"], "amp_jitter_sd must be finite and at least 0, got -0.1"),
-        (["--synth-shift-steps", "nan"], "shift_steps must be finite, got nan"),
-        (["--synth-amplitude-scale", "inf"], "amplitude_scale must be finite, got inf"),
-        (["--synth-years", "2016,2016"], "years must be non-empty without repeats, got (2016, 2016)"),
-        (["--synth-n", "0"], "n_per_class_per_year must be at least 1, got 0"),
-        (["--synth-cloud-prob", "1.5"], "cloud_prob must lie in [0, 1], got 1.5"),
-    ])
+    @pytest.mark.parametrize("flags, message", **tagged([
+        ("flags0", ["--synth-noise-sd", "-1"], "noise_sd must be finite and at least 0, got -1.0"),
+        ("flags1", ["--synth-noise-sd", "nan"], "noise_sd must be finite and at least 0, got nan"),
+        ("flags2", ["--synth-year-effect", "-0.5"], "year_effect_sd must be finite and at least 0, got -0.5"),
+        ("flags3", ["--synth-time-jitter", "inf"], "time_jitter_sd must be finite and at least 0, got inf"),
+        ("flags4", ["--synth-amp-jitter", "-0.1"], "amp_jitter_sd must be finite and at least 0, got -0.1"),
+        ("flags5", ["--synth-shift-steps", "nan"], "shift_steps must be finite, got nan"),
+        ("flags6", ["--synth-amplitude-scale", "inf"], "amplitude_scale must be finite, got inf"),
+        ("flags7", ["--synth-years", "2016,2016"], "years must be non-empty without repeats, got (2016, 2016)"),
+        ("flags8", ["--synth-n", "0"], "n_per_class_per_year must be at least 1, got 0"),
+        ("flags9", ["--synth-cloud-prob", "1.5"], "cloud_prob must lie in [0, 1], got 1.5"),
+    ]))
     def test_bad_synthetic_setting_fails_naming_the_field(self, tmp_path, capsys, flags, message):
         csv = tmp_path / "synth.csv"
         rc = main(["synth", "--csv", str(csv), "--synth-n", "2"] + flags)

@@ -20,11 +20,13 @@ def dataset_from_features(X, labels):
 
 
 def fit_on_every_sample(train, cfg):
-    """`rf_fit`'s forest, but each tree grown by `forest._grow` on all of `train`, not
-    on a bootstrap resample: the trees `rf_fit` would grow from the same generators."""
+    """`rf_fit`'s forest, but each tree grown by `forest._grow` on all of `train`, each
+    sample once, not on a bootstrap resample: the trees `rf_fit` would grow from the
+    same generators."""
     X, y = train.feature_matrix(), train.labels_array() - 1
     seqs = seeding.seed_sequence(cfg.seed, "forest").spawn(cfg.n_trees)
-    trees = [DecisionTree(forest_mod._grow(X, y, cfg, np.random.Generator(np.random.PCG64(seq))))
+    trees = [DecisionTree(forest_mod._grow(X, y, np.ones(len(X)), cfg,
+                                           np.random.Generator(np.random.PCG64(seq))))
              for seq in seqs]
     return Forest(trees, X.shape[1])
 
@@ -34,12 +36,12 @@ class TestGini:
 
     def test_even_split(self):
         gini, thr, valid = forest_mod._block_splits(np.array([[1.0], [1.0], [2.0], [2.0]]),
-                                                    np.array([0, 1, 0, 1]), 1)
+                                                    np.array([0, 1, 0, 1]), np.ones(4, int), 1)
         assert (gini.tolist(), thr.tolist(), valid.tolist()) == ([0.5], [1.5], [True])
 
     def test_pure(self):
         gini, thr, _ = forest_mod._block_splits(np.array([[1.0], [1.0], [2.0], [2.0]]),
-                                                np.array([0, 0, 1, 1]), 1)
+                                                np.array([0, 0, 1, 1]), np.ones(4, int), 1)
         assert (gini.tolist(), thr.tolist()) == ([0.0], [1.5])
 
 
@@ -160,7 +162,9 @@ def _reference_best_split(x, y, min_leaf):
     return float(weighted[best]), float(thr)
 
 
-def _reference_grow(X, y, cfg, rng):
+def _reference_grow(X, y, w, cfg, rng):
+    draws = w.astype(np.int64)  # each sample as often as the bootstrap drew it
+    X, y = np.repeat(X, draws, axis=0), np.repeat(y, draws)
     n_features = X.shape[1]
     max_features = cfg.max_features or max(1, math.floor(math.sqrt(n_features)))
 
@@ -241,25 +245,31 @@ class TestBlockSplitSearch:
 
     @pytest.mark.parametrize("case", ["min_leaf_2", "min_leaf_5", "two_samples",
                                       "two_samples_min_leaf_2", "absent_classes",
-                                      "constant_block"])
+                                      "constant_block", "samples_drawn_more_than_once"])
     def test_block_matches_scalar_reference(self, case):
-        """Every column's split from one block pass equals the scalar search's, bit for bit."""
+        """Every column's split from one block pass equals the scalar search's, bit for bit;
+        a sample of multiplicity w counts as w copies of it."""
         rng = np.random.default_rng(4)
         X = np.round(rng.normal(size=(40, 7)) * 3.0, 1)
         X[:, 3] = 2.0
         y = rng.integers(0, N_CLASSES, size=40)
+        w = np.ones(len(X), dtype=np.int64)
         min_leaf = 1
         if case.startswith("min_leaf"):
             min_leaf = int(case[-1])
         elif case.startswith("two_samples"):
             X = np.array([[1.0, 4.0, 3.0], [2.0, 4.0, -1.0]])
-            y = np.array([5, 2])
+            y, w = np.array([5, 2]), np.ones(2, dtype=np.int64)
             min_leaf = 2 if case.endswith("2") else 1
         elif case == "absent_classes":
             y = np.array([0, 3, 5])[rng.integers(0, 3, size=40)]
         elif case == "constant_block":
             X = np.tile(np.array([3.0, -1.0, 0.0, 7.5]), (40, 1))
-        gini, thr, valid = forest_mod._block_splits(X, y, min_leaf)
+        elif case == "samples_drawn_more_than_once":
+            w = rng.integers(1, 4, size=40)
+            min_leaf = 3
+        gini, thr, valid = forest_mod._block_splits(X, y, w, min_leaf)
+        X, y = np.repeat(X, w, axis=0), np.repeat(y, w)
         for j in range(X.shape[1]):
             ref = _reference_best_split(X[:, j], y, min_leaf)
             if ref is None:
@@ -268,6 +278,8 @@ class TestBlockSplitSearch:
                 assert valid[j] and (float(gini[j]), float(thr[j])) == ref
         if case in ("two_samples_min_leaf_2", "constant_block"):
             assert not valid.any()
+        else:
+            assert valid.any()
 
 
 def _sha256(path):

@@ -1,8 +1,10 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
+from sslcrop import cli
 from sslcrop.dataio import CropClass, ScenarioSpec, make_split
 from sslcrop.evaluation import overall_accuracy
 from sslcrop.forest import ForestConfig, rf_fit, rf_predict
@@ -81,6 +83,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"years must be non-empty without repeats, got \(\)"):
             SynthConfig(years=())
 
+    @pytest.mark.parametrize("years", [(2016.5, 2017), (2016, True), "2018"],
+                             ids=["fraction", "bool", "text"])
+    def test_years_must_be_integers(self, years):
+        with pytest.raises(ValueError, match=re.escape(f"years must be integers, got {years!r}")):
+            SynthConfig(years=years)
+
+    def test_text_years_from_a_settings_dict_fail(self):
+        # parsed settings hold a tuple; text put in by hand once became the years 0, 1, 2, 8
+        with pytest.raises(ValueError, match="years must be integers, got '2018'"):
+            cli.settings_to_synthconfig(dict(cli.DEFAULTS, synth_years="2018", synth_n=1))
+
 
 class TestGolden:
     """Every field id and reflectance byte, as the per-sample, per-band loop made them."""
@@ -89,7 +102,7 @@ class TestGolden:
         digest = dataset_digest(generate(SynthConfig(seed=0)))
         assert digest == "d07c000b00546d9799faab7e3eb55a124641a7697f494f32a7527fea40e6ee05"
 
-    def test_band_subset_and_other_years(self):
+    def test_other_years_and_sizes(self):
         # every band: the generator makes all 13, and preprocessing selects (`select_bands`)
         cfg = SynthConfig(n_per_class_per_year=7, years=(2019, 2020), divergent_year=2020, seed=3)
         digest = dataset_digest(generate(cfg))
