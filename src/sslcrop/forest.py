@@ -21,7 +21,8 @@ work is arranged for numpy:
   of equal values, which never split, so every count at a valid boundary is
   the resample's own, on about a third fewer rows.
 - Node-local gathers: the features are held feature-major, and a node
-  gathers only its block's columns and then the chosen feature's column.
+  gathers its samples of the block's features, then of the chosen one, and
+  never copies the other features.
 - Class-major scan: one cumulative sum gives the counts of each class
   present (exact integers in float64); class by class, in class order, each
   side's squared class share is added into that side's sum, the order a
@@ -86,11 +87,10 @@ class Forest:
     n_features: int
 
 
-def _block_splits(xb: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: int):
-    """Best split of each column of `xb` (n x k), sample i of class `y[i]` counting
-    `w[i]` times: gini (inf if none), threshold, valid."""
-    k = xb.shape[1]
-    xt = xb.T  # contiguous for `_grow`'s feature-major gathers
+def _block_splits(xt: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: int):
+    """Best split of each feature, a row of `xt` (k x n), with sample i of class
+    `y[i]` counting `w[i]` times: gini (inf if none), threshold, valid."""
+    k = xt.shape[0]
     order = np.argsort(xt, axis=1)  # ties in any order: no boundary lies inside a run
     cols = np.arange(k)
     xs = xt[cols[:, None], order]
@@ -118,12 +118,12 @@ def _block_splits(xb: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: int):
     return gini, thr, gini < np.inf
 
 
-def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: ForestConfig,
+def _grow(XT: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: ForestConfig,
           rng: np.random.Generator) -> TreeNode:
-    """The tree on samples `X` of class `y`, sample i counting `w[i]` times."""
-    n_features = X.shape[1]
+    """The tree on the samples in the columns of `XT` (features x n), sample i of
+    class `y[i]` counting `w[i]` times."""
+    n_features = XT.shape[0]
     max_features = cfg.max_features or max(1, math.floor(math.sqrt(n_features)))
-    XT = np.ascontiguousarray(X.T)  # feature-major: a node gathers its samples of a few features
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
         yi, wi = y[idx], w[idx]
@@ -143,8 +143,8 @@ def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: ForestConfig,
         while found < max_features and pos < n_features:
             block = perm[pos : pos + max_features - found]
             pos += len(block)
-            xb = XT.take(block, axis=0).take(idx, axis=1)
-            ginis, thrs, valid = _block_splits(xb.T, yi, wi, cfg.min_leaf)
+            xt = XT.take(block, axis=0).take(idx, axis=1)  # only the node's samples of the block
+            ginis, thrs, valid = _block_splits(xt, yi, wi, cfg.min_leaf)
             found += int(valid.sum())
             j = int(ginis.argmin())  # first minimum -> earliest in scan order
             if valid[j] and (best is None or ginis[j] < best[0]):
@@ -157,7 +157,7 @@ def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, cfg: ForestConfig,
         node.right = build(idx[~mask], depth + 1)
         return node
 
-    return build(np.arange(len(X)), 0)
+    return build(np.arange(len(y)), 0)
 
 
 def rf_fit(train: Dataset, cfg: ForestConfig = ForestConfig()) -> Forest:
@@ -165,15 +165,15 @@ def rf_fit(train: Dataset, cfg: ForestConfig = ForestConfig()) -> Forest:
     if len(train) == 0:
         raise ValueError("cannot fit a forest on an empty dataset")
     X = train.feature_matrix()
-    XT = np.ascontiguousarray(X.T)  # each tree's bootstrap gathers columns, already feature-major
+    XT = np.ascontiguousarray(X.T)  # feature-major: a node gathers a few features' rows
     y = train.labels_array() - 1
     seqs = seeding.seed_sequence(cfg.seed, "forest").spawn(cfg.n_trees)
     trees = []
     for seq in seqs:
         rng = np.random.Generator(np.random.PCG64(seq))
         rows, draws = np.unique(rng.integers(0, len(X), len(X)), return_counts=True)
-        trees.append(DecisionTree(_grow(XT.take(rows, axis=1).T, y[rows],
-                                        draws.astype(np.float64), cfg, rng)))
+        trees.append(DecisionTree(_grow(XT.take(rows, axis=1), y[rows], draws.astype(np.float64),
+                                        cfg, rng)))
     return Forest(trees, X.shape[1])
 
 
