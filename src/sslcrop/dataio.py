@@ -387,5 +387,8 @@ def make_split(d: Dataset, spec: ScenarioSpec) -> tuple[Dataset, Dataset, tuple[
     moved_set = set(moved)
     train = sorted(source + moved)
     test = sorted(i for i in target if i not in moved_set)
+    if not test:
+        raise ValueError(f"scenario {spec.kind} leaves no test sample: every target-year ({spec.target_year}) "
+                         "sample moved into train")
     moved_ids = tuple(d.samples[i].field_id for i in sorted(moved))
     return d.subset(train), d.subset(test), moved_ids

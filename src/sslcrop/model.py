@@ -5,8 +5,8 @@ positions, runs post-norm self-attention blocks and max-pools over time.
 On the tape that is one `embed` node, then per layer an `attention` and a
 `feed_forward` node, each ending with its layer norm, then `max_axis`; the
 fused nodes keep only what their backward reads and rebuild what one product
-gives back (the attention context, the feed-forward hidden layer), which is
-what a pre-training step holds.
+gives back (the attention's q, k, v and context, the feed-forward hidden
+layer), which is what a pre-training step holds.
 On top of it sit a projector and predictor MLP for the two-branch
 pre-training loss (negative cosine with a stopped gradient on the target
 branch), an optional linear classification head, and the collapse monitor

@@ -33,10 +33,10 @@ backward rule stays easy to audit.  The encoder's blocks are single nodes
 norm, and `linear` for a dense layer).  A node's backward rule closes over only
 the arrays it reads, so an intermediate such as the feed-forward pre-activation
 is not kept alive for the backward pass, and an array that one product gives
-back (the attention context, the feed-forward hidden layer) is rebuilt there
-instead of kept.  A block normalises its pre-norm output in place.  Each fused
-node computes and sums in the order of the separate nodes it replaces, so its
-results are bitwise theirs.
+back (the attention's q, k and v and its context, the feed-forward hidden layer)
+is rebuilt there instead of kept.  A block normalises its pre-norm output in
+place.  Each fused node computes and sums in the order of the separate nodes it
+replaces, so its results are bitwise theirs.
 """
 
 from __future__ import annotations
@@ -224,11 +224,11 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
     """layer_norm(x plus multi-head self-attention of (B, t, d) over t) as one node, the
     output projection and the residual included; `params` are wq, bq, wk, bk, wv, bv,
     wo, bo and the layer norm's gain and bias.  q, k and v come from one (d, 3d) gemm
-    and the heads are strided views of it.  The node keeps x, q, k, v, the attention
-    weights p, the normalised xhat and 1/std: ctx = p @ v is rebuilt in the backward,
-    and the pre-norm sum is normalised in place.  The backward forms and sums each
-    product in the order separate matmul/linear/layer_norm nodes would (x's gradient
-    as ((residual + q) + k) + v), so results are bitwise those of the unfused graph."""
+    and the heads are strided views of it.  The node keeps x, the attention weights
+    p, the normalised xhat and 1/std: the backward rebuilds q, k and v with the
+    forward's own closure, then ctx = p @ v, and the pre-norm sum is normalised in
+    place.  Each product and sum is formed in the order separate matmul/linear/
+    layer_norm nodes would (x's gradient as ((residual + q) + k) + v): bitwise theirs."""
     b, t, d = x.shape
     if len(params) != 10 or d % n_heads or any(p.shape != (d, d) for p in params[:8:2]) \
             or any(p.shape != (d,) for p in params[1::2] + params[8:9]):
@@ -238,21 +238,26 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
     dh = d // n_heads
     c = 1.0 / math.sqrt(dh)
     x2 = x.data.reshape(-1, d)
-    qkv = x2 @ np.concatenate((wq.data, wk.data, wv.data), axis=1)
-    qkv += np.concatenate((bq.data, bk.data, bv.data))
-    q, k, v = qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)  # each (B, h, t, dh)
+
+    def heads():  # q, k and v, each (B, h, t, dh)
+        qkv = x2 @ np.concatenate((wq.data, wk.data, wv.data), axis=1)
+        qkv += np.concatenate((bq.data, bk.data, bv.data))
+        return qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    q, k, v = heads()
     p = q @ k.swapaxes(-1, -2)
     p *= c
     p -= _row_max(p)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     y = _context(p, v) @ wo.data
+    del q, k, v
     y += bo.data
     y += x2
     out, xhat, inv = _normalize(y, gain, bias, _EPS, -1)[:3]  # y becomes xhat
 
     def backward(g):
         g2, g_gain, g_bias = _normalize_backward(g.reshape(-1, d), xhat, inv, gain, -1)
+        q, k, v = heads()
         g_wo = _context(p, v).T @ g2
         g_ctx = (g2 @ wo.data.T).reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
         g_qkv = np.empty((b * t, 3 * d), dtype=g_ctx.dtype)

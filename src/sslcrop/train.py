@@ -282,6 +282,8 @@ def pretrain(
     if aug not in KINDS:
         raise ValueError(f"unknown augmentation kind {aug!r}; choose from {KINDS}")
     _require_samples("pretrain", pool)
+    if len(pool) < 2:  # each epoch's collapse metric is a spread over the pool's projections
+        raise ValueError(f"cannot pretrain on a pool of {len(pool)} sample; the collapse metric needs at least 2")
     if aug in ("aug1", "aug3") and any(s.label is None for s in pool.samples):
         raise ValueError(f"{aug} needs a fully labeled pool")
     simsiam = simsiam or SimSiamConfig()

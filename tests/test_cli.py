@@ -697,6 +697,18 @@ class TestCommands:
         assert not out.exists()
         assert main(flags + ["--target-year", "2017"]) == 0
 
+    @pytest.mark.parametrize("method, scenario", [("rf", "e3"), ("tf", "e4")])
+    def test_empty_test_split_fails_before_training(self, tmp_path, capsys, monkeypatch, method, scenario):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a split with no test sample")
+        monkeypatch.setattr(cli, "rf_fit" if method == "rf" else "train_supervised", no_training)
+        out = tmp_path / "out"
+        assert main(["run", "--method", method, "--scenario", scenario, "--synth-n", "1", "--n-trees", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"sslcrop: error: scenario {scenario} leaves no test sample: every "
+                                           "target-year (2018) sample moved into train\n")
+        assert not out.exists()
+
     def test_error_exits_nonzero_without_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["run", "--method", "rf", "--data", str(tmp_path / "missing.csv"),

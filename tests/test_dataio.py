@@ -293,6 +293,13 @@ class TestMakeSplit:
         with pytest.raises(ValueError, match="winter barley"):
             make_split(d, ScenarioSpec("e3", target_year=2018, seed=0))
 
+    @pytest.mark.parametrize("kind", ["e3", "e4"])
+    def test_no_test_sample_left_rejected(self, kind):
+        d = make_dataset(n_per_class=1, years=(2016, 2018))  # the one target sample per class moves
+        with pytest.raises(ValueError, match=f"^scenario {kind} leaves no test sample: every target-year "
+                                             r"\(2018\) sample moved into train$"):
+            make_split(d, ScenarioSpec(kind, target_year=2018, seed=0))
+
     def test_e1_with_unlabeled_rejected(self):
         d = make_dataset(n_per_class=2)
         unlabeled = make_sample("u", 2016, None)

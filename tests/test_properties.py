@@ -90,15 +90,19 @@ class TestSplitInvariants:
         d = dataset_of(counts)
         target_year = max(y for y, _ in counts)
         spec = ScenarioSpec(kind, target_year=target_year, seed=seed)
+        shares = {crop: 0 if kind == "e2" else max(1, math.floor(spec.target_label_fraction * n))
+                  for (year, crop), n in counts.items() if year == target_year}
+        if all(share == counts[target_year, crop] for crop, share in shares.items()):  # no test sample left
+            with pytest.raises(ValueError, match=f"^scenario {kind} leaves no test sample"):
+                make_split(d, spec)
+            return
         train, test, moved = make_split(d, spec)
         assert not set(ids(train)) & set(ids(test))
         assert sorted(ids(train) + ids(test)) == sorted(ids(d))
         assert all(s.year == target_year for s in test.samples)
         assert {s.field_id for s in train.samples if s.year == target_year} == set(moved)
-        for (year, crop), n in counts.items():
-            if year == target_year:
-                share = 0 if kind == "e2" else max(1, math.floor(spec.target_label_fraction * n))
-                assert sum(s.year == year and int(s.label) == crop for s in train.samples) == share
+        for crop, share in shares.items():
+            assert sum(s.year == target_year and int(s.label) == crop for s in train.samples) == share
 
 
 samples = st.builds(

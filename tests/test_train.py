@@ -475,6 +475,18 @@ class TestOneLoop:
             else:
                 finetune(backbone, empty, cfg)
 
+    def test_a_one_sample_pool_is_rejected_before_any_work(self, monkeypatch):
+        d = make_dataset(n_per_class=1, years=(2016,), n_bands=4, n_steps=6)
+        one = Dataset(d.samples[:1], d.band_ids, d.n_steps)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on a one-sample pool")
+
+        monkeypatch.setattr(M, "init_model", no_work)
+        with pytest.raises(ValueError, match="^cannot pretrain on a pool of 1 sample; the collapse metric needs "
+                                             "at least 2$"):
+            pretrain(one, "aug2", TrainConfig(epochs_pretrain=1), TINY_ENC)
+
     @pytest.mark.parametrize("name", ["epochs_supervised", "epochs_pretrain", "epochs_finetune",
                                       "collapse_warmup_epochs"])
     def test_negative_epoch_counts_are_rejected_naming_the_field(self, name):
