@@ -60,7 +60,7 @@ def _oa(state, test) -> float:
 
     X = M.encoder_batch(s.reflectance for s in test.samples)
     with blas.one_thread():
-        return E.overall_accuracy(M.predict_classes(state, X, 256), test.labels_array())
+        return E.overall_accuracy(M.predict_classes(state, X), test.labels_array())
 
 
 def criterion6(seed: int) -> dict:

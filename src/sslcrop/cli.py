@@ -314,10 +314,9 @@ def _pretrain(config: RunConfig, dataset: Dataset, train_set: Dataset, test_set:
     return pretrain(pool, config.aug, config.train, _encoder_config(config, dataset), config.simsiam)
 
 
-def _nearest_class(state, reference: Dataset, x_test, cfg: TrainConfig):
+def _nearest_class(state, reference: Dataset, x_test):
     """Contrastive predictions: each test series takes the class nearest under the loss."""
-    ref = E.embed_reference(state, reference, cfg.batch_size)
-    return E.contrastive_classify_batch(state, x_test, ref, cfg.batch_size)[0]
+    return E.contrastive_classify_batch(state, x_test, E.embed_reference(state, reference))[0]
 
 
 @blas.one_thread()
@@ -337,7 +336,7 @@ def run(config: RunConfig, prepared: tuple | None = None) -> tuple[dict, dict[st
     elif config.method == "tf":
         state, trace = train_supervised(train_set, cfg, _encoder_config(config, dataset), config.simsiam)
         x_test = M.encoder_batch(s.reflectance for s in test_set.samples)
-        pred, tag = M.predict_classes(state, x_test, cfg.batch_size), "TF"
+        pred, tag = M.predict_classes(state, x_test), "TF"
         _record(files, traces, "train", "model.json", state, trace)
     else:
         backbone, pre_trace = _pretrain(config, dataset, train_set, test_set)
@@ -345,10 +344,10 @@ def run(config: RunConfig, prepared: tuple | None = None) -> tuple[dict, dict[st
 
         def tune():
             tuned, ft_trace = finetune(backbone, train_set, cfg)
-            return tuned, ft_trace, M.predict_classes(tuned, x_test, cfg.batch_size)
+            return tuned, ft_trace, M.predict_classes(tuned, x_test)
 
         def contrast():  # reads the backbone only, as fine-tuning does
-            return _nearest_class(backbone, train_set, x_test, cfg)
+            return _nearest_class(backbone, train_set, x_test)
 
         # the table runs beside fine-tuning, under the views' thread rule; one thread runs both serially
         with thread_pair(cfg.branch_threads or branch_threads(), "sslcrop-eval") as pool:
@@ -524,9 +523,9 @@ def _cmd_evaluate(args, settings, out_dir) -> None:
         state, trace = finetune(state, train_set, cfg)
         _record(files, traces, "finetune", "finetuned.json", state, trace)
     if contrastive:
-        pred, tag = _nearest_class(state, train_set, x_test, cfg), "contrastive"
+        pred, tag = _nearest_class(state, train_set, x_test), "contrastive"
     else:
-        pred = M.predict_classes(state, x_test, cfg.batch_size)
+        pred = M.predict_classes(state, x_test)
     report = E.build_report(spec.kind, tag, dataset, pred, test_set.labels_array(),
                             seeds={"master": config.seed}, traces=traces, extras=extras)
     files["report.json"] = E.report_text(report)
@@ -548,7 +547,7 @@ def _cmd_export_embeddings(args, settings, out_dir) -> None:
         state = M.load_checkpoint(args.checkpoint)
         _check_checkpoint(args.checkpoint, state, dataset)
         X = M.encoder_batch(s.reflectance for s in dataset.samples)
-        emb = M.encode_batched(state, X, config.train.batch_size)
+        emb = M.encode_batched(state, X)
     else:
         emb = dataset.feature_matrix()
     coords, ratios = E.pca_project(emb, k=2)

@@ -73,29 +73,28 @@ class ReferenceEmbeddings:
     labels: np.ndarray     # (N,), 1-based
 
 
-def _unit_heads(state: ModelState, batch: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_heads(state: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit rows of the projections and predictions of an encoder batch, on no tape."""
     view = M.constant_view(state)
-    z = M.project(view, Tensor(M.encode_batched(state, batch, batch_size)), training=False)
+    z = M.project(view, Tensor(M.encode_batched(state, batch)), training=False)
     p = M.predict_head(view, z, training=False)
     return T.l2_normalize(z).data, T.l2_normalize(p).data
 
 
-def embed_reference(state: ModelState, reference: Dataset, batch_size: int) -> ReferenceEmbeddings:
-    """The labeled reference set's heads, encoded `batch_size` rows at a time."""
+def embed_reference(state: ModelState, reference: Dataset) -> ReferenceEmbeddings:
+    """The labeled reference set's heads, encoded as by `model.encode_batched`."""
     labels = reference.labels_array()
     batch = M.encoder_batch(s.reflectance for s in reference.samples)
-    return ReferenceEmbeddings(*_unit_heads(state, batch, batch_size), labels)
+    return ReferenceEmbeddings(*_unit_heads(state, batch), labels)
 
 
 def contrastive_classify_batch(
     state: ModelState,
     batch: np.ndarray,
     ref: ReferenceEmbeddings,
-    batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised nearest-class evaluation of an encoder batch, encoded `batch_size`
-    rows at a time.
+    """Vectorised nearest-class evaluation of an encoder batch, encoded as by
+    `model.encode_batched`.
 
     Each row takes the class whose mean pairwise two-branch loss against the
     reference is minimal, ties going to the lowest class index.  Returns (class
@@ -105,7 +104,7 @@ def contrastive_classify_batch(
     classes = np.unique(ref.labels)
     if not classes.size:
         raise ValueError("reference set holds no labeled samples")
-    z_hat, p_hat = _unit_heads(state, batch, batch_size)
+    z_hat, p_hat = _unit_heads(state, batch)
     # symmetric loss of (sample i, reference j): mean of the two crossed
     # negative cosines, identical in value to the training loss on one pair
     pairwise = -0.5 * (p_hat @ ref.z_hat.T) - 0.5 * (z_hat @ ref.p_hat.T)

@@ -3,10 +3,13 @@
 The encoder embeds each time step of a band series, adds sinusoidal
 positions, runs post-norm self-attention blocks and max-pools over time.
 On the tape that is one `embed` node, then per layer an `attention` and a
-`feed_forward` node, each ending with its layer norm, then `max_axis`; the
-fused nodes keep only what their backward reads and rebuild what one product
-gives back (the attention's q, k, v and context, the feed-forward hidden
-layer), which is what a pre-training step holds.
+`feed_forward` node, each returning its layer norm's xhat for the next node
+to apply that norm's gain and bias, then one `affine` node for the last norm
+and `max_axis`; the fused nodes keep only what their backward reads and
+rebuild what one product gives back (a block's input, the attention's q, k,
+v and context, the feed-forward hidden layer), which is what a pre-training
+step holds.  Inference encodes `INFERENCE_BLOCK` samples at a time on no
+tape.
 On top of it sit a projector and predictor MLP for the two-branch
 pre-training loss (negative cosine with a stopped gradient on the target
 branch), an optional linear classification head, and the collapse monitor
@@ -212,11 +215,15 @@ def encode(state: ModelState, batch) -> Tensor:
     # embeddings are scaled by sqrt(d_model) so band information is not
     # drowned out by the unit-magnitude positional encodings
     x = T.embed(x, p["embed.w"], p["embed.b"], math.sqrt(cfg.d_model), state.pos)
+    norm = ()  # the gain and bias of the layer norm whose xhat x is
     for i in range(cfg.n_layers):
         attn = [p[f"enc{i}.attn.{proj}.{part}"] for proj in "qkvo" for part in "wb"]
-        x = T.attention(x, *attn, p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"], n_heads=cfg.n_heads)
+        x = T.attention(x, *attn, n_heads=cfg.n_heads, norm=norm)
         ff = [p[f"enc{i}.{name}.{part}"] for name in ("ff1", "ff2") for part in "wb"]
-        x = T.feed_forward(x, *ff, p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
+        x = T.feed_forward(x, *ff, norm=(p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"]))
+        norm = (p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
+    if norm:
+        x = T.affine(x, *norm)
     return T.max_axis(x, axis=1)
 
 
@@ -307,17 +314,23 @@ def constant_view(state: ModelState, keep: Collection[str] = ()) -> ModelState:
                                   for k, p in state.params.items()})
 
 
-def encode_batched(state: ModelState, X: np.ndarray, batch_size: int) -> np.ndarray:
-    """Encoder embeddings (N, d_model) of an encoder batch, `batch_size` rows at a time,
-    on no tape."""
+# Samples per encoder pass in inference.  On one BLAS thread a row's result does not
+# depend on its block, and 64 bounds the pass's arrays at any input size.
+INFERENCE_BLOCK = 64
+
+
+def encode_batched(state: ModelState, X: np.ndarray) -> np.ndarray:
+    """Encoder embeddings (N, d_model) of an encoder batch, `INFERENCE_BLOCK` samples at
+    a time, on no tape."""
     view = constant_view(state)
-    return np.concatenate([encode(view, X[i : i + batch_size]).data for i in range(0, len(X), batch_size)])
+    return np.concatenate([encode(view, X[i : i + INFERENCE_BLOCK]).data
+                           for i in range(0, len(X), INFERENCE_BLOCK)])
 
 
-def predict_classes(state: ModelState, X: np.ndarray, batch_size: int) -> np.ndarray:
+def predict_classes(state: ModelState, X: np.ndarray) -> np.ndarray:
     """Predicted class indices (1-based) of an encoder batch, encoded as by
     `encode_batched`; argmax ties go to the lowest index."""
-    logits = _classifier(constant_view(state), Tensor(encode_batched(state, X, batch_size))).data
+    logits = _classifier(constant_view(state), Tensor(encode_batched(state, X))).data
     return logits.argmax(axis=1) + 1
 
 

@@ -29,14 +29,18 @@ and updates in float32; one float64 array would widen the rest of the pass
 and take it off the float32 BLAS kernels.  Broadcasting is restricted to
 last-axis bias/gain addition and the positional table of `embed`, so every
 backward rule stays easy to audit.  The encoder's blocks are single nodes
-(`embed`, `attention` and `feed_forward`, the last two ending with their layer
-norm, and `linear` for a dense layer).  A node's backward rule closes over only
-the arrays it reads, so an intermediate such as the feed-forward pre-activation
+(`embed`, `attention` and `feed_forward`, and `linear` for a dense layer).
+`attention` and `feed_forward` end at their layer norm's xhat and return it;
+the node that consumes an xhat applies that norm's gain and bias (the next
+block, to its input, or one final `affine` node), so the tape holds each xhat
+once and no layer norm output.  A node's backward rule closes over only the
+arrays it reads, so an intermediate such as the feed-forward pre-activation
 is not kept alive for the backward pass, and an array that one product gives
-back (the attention's q, k and v and its context, the feed-forward hidden layer)
-is rebuilt there instead of kept.  A block normalises its pre-norm output in
-place.  Each fused node computes and sums in the order of the separate nodes it
-replaces, so its results are bitwise theirs.
+back (a block's input from the xhat before it, the attention's q, k and v and
+its context, the feed-forward hidden layer) is rebuilt there instead of kept.
+A block normalises its pre-norm output in place.  Each fused node computes
+and sums in the order of the separate nodes it replaces, so its results are
+bitwise theirs.
 """
 
 from __future__ import annotations
@@ -168,37 +172,43 @@ def _hidden(x2: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
     return h
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """layer_norm(x + relu(x @ w1 + b1) @ w2 + b2) over the last axis of x, with the
-    layer norm's gain and bias, as one node.  The node keeps x, the normalised xhat
-    and 1/std: the hidden layer h is rebuilt in the backward (one gemm) and freed
-    after its last product, and the pre-norm sum is normalised in place.  Products
-    and sums are those of linear -> relu -> linear -> add -> layer_norm, so results
-    are bitwise theirs (x's gradient is g + gm @ w1.T, the tape's order)."""
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, *,
+                 norm: tuple[Tensor, Tensor]) -> Tensor:
+    """xhat of layer_norm(a + relu(a @ w1 + b1) @ w2 + b2) over the last axis, as one
+    node, where x is the attention's xhat and a = x * gain + bias its input, with norm =
+    (gain, bias) of the attention's layer norm; the gain and bias of this block's own
+    norm are applied by the node that consumes its xhat.  The node keeps x, its xhat
+    and 1/std: a and the hidden layer h are rebuilt in the backward and freed after
+    their last product, and the pre-norm sum is normalised in place.  Products and
+    sums are those of affine -> linear -> relu -> linear -> add -> layer_norm, so
+    results are bitwise theirs (a's gradient is g + gm @ w1.T, the tape's order)."""
     d = x.shape[-1]
-    if w1.data.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] \
-            or w2.shape != (w1.shape[1], d) or any(p.shape != (d,) for p in (b2, gain, bias)):
-        raise ShapeMismatch(f"feed_forward needs x (..., d), w1 (d, f), b1 (f,), w2 (f, d), b2, gain, bias (d,), "
-                            f"got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}, "
-                            f"{gain.shape}, {bias.shape}")
+    if w1.data.ndim != 2 or w1.shape[0] != d or b1.shape != w1.shape[1:] or w2.shape != (w1.shape[1], d) \
+            or any(p.shape != (d,) for p in (b2, *norm)) or len(norm) != 2:
+        raise ShapeMismatch(f"feed_forward needs x (..., d), w1 (d, f), b1 (f,), w2 (f, d), b2 (d,), "
+                            f"norm = gain, bias (d,), got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, "
+                            f"{b2.shape}, {[p.shape for p in norm]}")
     x2 = x.data.reshape(-1, d)
-    y = _hidden(x2, w1.data, b1.data) @ w2.data
+    a = _affine(x2, norm)
+    y = _hidden(a, w1.data, b1.data) @ w2.data
     y += b2.data
-    np.add(x2, y, out=y)  # x first, as add(x, ff): NaN operands keep their order
-    out, xhat, inv = _normalize(y, gain, bias, _EPS, -1)[:3]  # y becomes xhat
+    np.add(a, y, out=y)  # a first, as add(a, ff): NaN operands keep their order
+    del a
+    xhat, inv = _normalize(y, _EPS, -1)[:2]  # y becomes xhat
 
     def backward(g):
-        g2, g_gain, g_bias = _normalize_backward(g.reshape(-1, d), xhat, inv, gain, -1)
-        h = _hidden(x2, w1.data, b1.data)
+        g2 = _normalize_backward(g.reshape(-1, d), xhat, inv, -1)
+        a = _affine(x2, norm)
+        h = _hidden(a, w1.data, b1.data)
         g_w2 = h.T @ g2
         mask = h > 0.0  # exactly where the pre-activation is > 0
         del h
         gm = g2 @ w2.data.T
         gm *= mask
-        gx = (g2 + gm @ w1.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, x2.T @ gm, gm.sum(axis=0), g_w2, g2.sum(axis=0), g_gain, g_bias
+        gx, g_gain, g_bias = _affine_backward(g2 + gm @ w1.data.T, x2, norm)
+        return gx.reshape(x.shape), a.T @ gm, gm.sum(axis=0), g_w2, g2.sum(axis=0), g_gain, g_bias
 
-    return _op(out.reshape(x.shape), (x, w1, b1, w2, b2, gain, bias), backward)
+    return _op(xhat.reshape(x.shape), (x, w1, b1, w2, b2, *norm), backward)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -220,30 +230,34 @@ def _context(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ctx
 
 
-def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
-    """layer_norm(x plus multi-head self-attention of (B, t, d) over t) as one node, the
-    output projection and the residual included; `params` are wq, bq, wk, bk, wv, bv,
-    wo, bo and the layer norm's gain and bias.  q, k and v come from one (d, 3d) gemm
-    and the heads are strided views of it.  The node keeps x, the attention weights
-    p, the normalised xhat and 1/std: the backward rebuilds q, k and v with the
-    forward's own closure, then ctx = p @ v, and the pre-norm sum is normalised in
-    place.  Each product and sum is formed in the order separate matmul/linear/
-    layer_norm nodes would (x's gradient as ((residual + q) + k) + v): bitwise theirs."""
+def attention(x: Tensor, *params: Tensor, n_heads: int, norm: tuple[Tensor, ...] = ()) -> Tensor:
+    """xhat of layer_norm(a plus multi-head self-attention of a (B, t, d) over t) as one
+    node, the output projection and the residual included; `params` are wq, bq, wk, bk,
+    wv, bv, wo and bo.  The block's input a is x itself for norm = () (the first
+    attention takes the embedding as it is), or x * gain + bias for norm = (gain, bias)
+    of the layer norm whose xhat x is.  The gain and bias of this block's own norm are
+    applied by the node that consumes its xhat.  q, k and v come from one (d, 3d) gemm
+    and the heads are strided views of it.  The node keeps x, the attention weights p,
+    its xhat and 1/std: the backward rebuilds a, q, k and v with the forward's own
+    closure, then ctx = p @ v, and the pre-norm sum is normalised in place.  Each
+    product and sum is formed in the order separate affine/matmul/linear/layer_norm
+    nodes would (a's gradient as ((residual + q) + k) + v): bitwise theirs."""
     b, t, d = x.shape
-    if len(params) != 10 or d % n_heads or any(p.shape != (d, d) for p in params[:8:2]) \
-            or any(p.shape != (d,) for p in params[1::2] + params[8:9]):
-        raise ShapeMismatch(f"attention on {x.shape} needs (d, d) weights, (d,) biases, gain and bias, "
-                            f"d % n_heads == 0")
-    wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = params
+    if len(params) != 8 or len(norm) not in (0, 2) or d % n_heads \
+            or any(p.shape != (d, d) for p in params[::2]) or any(p.shape != (d,) for p in params[1::2] + norm):
+        raise ShapeMismatch(f"attention on {x.shape} needs (d, d) weights, (d,) biases, norm () or "
+                            f"gain and bias (d,), d % n_heads == 0")
+    wq, bq, wk, bk, wv, bv, wo, bo = params
     dh = d // n_heads
     c = 1.0 / math.sqrt(dh)
     x2 = x.data.reshape(-1, d)
 
-    def heads():  # q, k and v, each (B, h, t, dh)
-        qkv = x2 @ np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    def heads():  # the input a, and q, k and v, each (B, h, t, dh)
+        a = _affine(x2, norm)
+        qkv = a @ np.concatenate((wq.data, wk.data, wv.data), axis=1)
         qkv += np.concatenate((bq.data, bk.data, bv.data))
-        return qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    q, k, v = heads()
+        return a, qkv.reshape(b, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    a, (q, k, v) = heads()
     p = q @ k.swapaxes(-1, -2)
     p *= c
     p -= _row_max(p)
@@ -252,12 +266,13 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
     y = _context(p, v) @ wo.data
     del q, k, v
     y += bo.data
-    y += x2
-    out, xhat, inv = _normalize(y, gain, bias, _EPS, -1)[:3]  # y becomes xhat
+    y += a
+    del a
+    xhat, inv = _normalize(y, _EPS, -1)[:2]  # y becomes xhat
 
     def backward(g):
-        g2, g_gain, g_bias = _normalize_backward(g.reshape(-1, d), xhat, inv, gain, -1)
-        q, k, v = heads()
+        g2 = _normalize_backward(g.reshape(-1, d), xhat, inv, -1)
+        a, (q, k, v) = heads()
         g_wo = _context(p, v).T @ g2
         g_ctx = (g2 @ wo.data.T).reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
         g_qkv = np.empty((b * t, 3 * d), dtype=g_ctx.dtype)
@@ -269,14 +284,30 @@ def attention(x: Tensor, *params: Tensor, n_heads: int) -> Tensor:
         gs *= c
         np.matmul(gs, k, out=gq)
         np.matmul(q.swapaxes(-1, -2), gs, out=gk.swapaxes(-1, -2))
-        gx, grads = g2, []
+        ga, grads = g2, []
         for i, w in enumerate((wq, wk, wv)):
             g_proj = g_qkv[:, i * d : (i + 1) * d]
-            gx = gx + g_proj @ w.data.T
-            grads += [x2.T @ g_proj, g_proj.sum(axis=0)]
-        return (gx.reshape(x.shape), *grads, g_wo, g2.sum(axis=0), g_gain, g_bias)
+            ga = ga + g_proj @ w.data.T
+            grads += [a.T @ g_proj, g_proj.sum(axis=0)]
+        gx, *g_norm = _affine_backward(ga, x2, norm)
+        return (gx.reshape(x.shape), *grads, g_wo, g2.sum(axis=0), *g_norm)
 
-    return _op(out.reshape(x.shape), (x, *params), backward)
+    return _op(xhat.reshape(x.shape), (x, *params, *norm), backward)
+
+
+def affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """x * gain + bias over the last axis as one node: the encoder's last layer norm,
+    applied to the xhat its block returns."""
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeMismatch(f"affine needs x (..., d), gain and bias (d,), got {x.shape}, {gain.shape}, {bias.shape}")
+    x2 = x.data.reshape(-1, d)
+
+    def backward(g):
+        gx, g_gain, g_bias = _affine_backward(g.reshape(-1, d), x2, (gain, bias))
+        return gx.reshape(x.shape), g_gain, g_bias
+
+    return _op(_affine(x2, (gain, bias)).reshape(x.shape), (x, gain, bias), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -289,35 +320,46 @@ _EPS = 1e-5  # added to the variance by layer and batch norm
 _NORM_FLOOR = 1e-12  # l2_normalize's smallest divisor
 
 
-def _normalize(y: np.ndarray, gain: Tensor, bias: Tensor, eps: float, axis: int):
-    """Standardise y along `axis`, then apply a per-feature (last axis) gain and bias.
-    y is overwritten with xhat; returns the result, xhat, 1/std and the mean and
-    variance."""
-    # the arithmetic of centered = y - mean, xhat = centered * inv, xhat * gain + bias,
-    # evaluated in place: one new large array, the result
+def _normalize(y: np.ndarray, eps: float, axis: int):
+    """Standardise y along `axis`, overwriting y with xhat; returns xhat, 1/std and the
+    mean and variance."""
+    # the arithmetic of centered = y - mean, xhat = centered * inv, evaluated in place
     mean = y.mean(axis=axis, keepdims=True)
     xhat = np.subtract(y, mean, out=y)
-    out = xhat * xhat
-    var = out.mean(axis=axis, keepdims=True)
+    var = (xhat * xhat).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=out)
-    out += bias.data
-    return out, xhat, inv, mean, var
+    return xhat, inv, mean, var
 
 
-def _normalize_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor, axis: int):
-    """The gradients of y, gain and bias of `_normalize` from its result's gradient g."""
-    # inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)), gx_hat = g * gain
-    d = xhat.shape[-1]
-    gx = g * gain.data
-    tmp = gx * xhat
+def _normalize_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of y of `_normalize` from the gradient g of its xhat."""
+    # inv * (g - mean(g) - xhat * mean(g * xhat))
+    tmp = g * xhat
     m2 = tmp.mean(axis=axis, keepdims=True)
-    gx -= gx.mean(axis=axis, keepdims=True)
+    gx = g - g.mean(axis=axis, keepdims=True)
     gx -= np.multiply(xhat, m2, out=tmp)
     np.multiply(inv, gx, out=gx)  # inv first, as written above: NaN operands keep their order
-    np.multiply(g, xhat, out=tmp)
-    return gx, tmp.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+    return gx
+
+
+def _affine(xhat: np.ndarray, norm: tuple[Tensor, ...]) -> np.ndarray:
+    """A layer norm's output xhat * gain + bias for norm = (gain, bias), per feature
+    (last axis); xhat itself for norm = () (the first attention takes the embedding
+    as it is)."""
+    if not norm:
+        return xhat
+    out = xhat * norm[0].data
+    out += norm[1].data
+    return out
+
+
+def _affine_backward(g: np.ndarray, xhat: np.ndarray, norm: tuple[Tensor, ...]) -> tuple[np.ndarray, ...]:
+    """The gradients of xhat and of norm's gain and bias from the gradient g of `_affine`'s
+    result, for 2-D xhat and g."""
+    if not norm:
+        return (g,)
+    return g * norm[0].data, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
 def batch_norm(a: Tensor, gain: Tensor, bias: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -331,9 +373,13 @@ def batch_norm(a: Tensor, gain: Tensor, bias: Tensor) -> tuple[Tensor, np.ndarra
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    out, xhat, inv, mean, var = _normalize(a.data.copy(), gain, bias, _EPS, 0)
-    backward = lambda g: _normalize_backward(g, xhat, inv, gain, 0)
-    return _op(out, (a, gain, bias), backward), mean[0], var[0]
+    xhat, inv, mean, var = _normalize(a.data.copy(), _EPS, 0)
+
+    def backward(g):
+        gx, g_gain, g_bias = _affine_backward(g, xhat, (gain, bias))
+        return _normalize_backward(gx, xhat, inv, 0), g_gain, g_bias
+
+    return _op(_affine(xhat, (gain, bias)), (a, gain, bias), backward), mean[0], var[0]
 
 
 def batch_norm_eval(a: Tensor, gain: Tensor, bias: Tensor, mean: np.ndarray, var: np.ndarray) -> Tensor:

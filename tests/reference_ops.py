@@ -2,7 +2,9 @@
 (`matmul`, `add_bias`, `softmax_rows`, `sum_all`), the unfused references that
 the fused nodes are checked against (`add_bias(matmul(x, w), b)` for `linear`;
 `layer_norm` after `attention` or `feed_forward`, as the encoder's blocks were
-before each took its layer norm in), and the collapsing objective that the
+before each took its layer norm in, and `affine`, the gain and bias of the
+layer norm before a block, which the fused blocks apply to their input), and
+the collapsing objective that the
 collapse-monitor tests put in place of `simsiam_forward`
 (`direct_cosine_forward`).  The nodes are built on `tensor._op`, so they tape
 and back-propagate like the package's nodes."""
@@ -136,6 +138,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return gx, tmp.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
     return _op(out, (a, gain, bias), backward)
+
+
+def affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """x * gain + bias over the last axis as a node of its own, with layer_norm's
+    backward for gain and bias."""
+    d = x.shape[-1]
+    out = x.data * gain.data
+    out += bias.data
+
+    def backward(g):
+        return g * gain.data, (g * x.data).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+    return _op(out, (x, gain, bias), backward)
 
 
 def direct_cosine_forward(

@@ -50,11 +50,8 @@ def criterion(number, label):
     print(f"[criterion {number:>2}] PASS  {label}", file=sys.__stdout__, flush=True)
 
 
-def batched_predict(state, dataset, batch=256):
-    X = M.encoder_batch(s.reflectance for s in dataset.samples)
-    return np.concatenate(
-        [M.predict_classes(state, X, batch)]
-    )
+def batched_predict(state, dataset):
+    return M.predict_classes(state, M.encoder_batch(s.reflectance for s in dataset.samples))
 
 
 class TestCriterion1GradientCorrectness:
@@ -169,7 +166,7 @@ class TestCriterion4ContrastiveOracle:
             dn = 10000.0
             assert len(queries) >= 20
             preds, _ = E.contrastive_classify_batch(state, M.encoder_batch(s.reflectance for s in queries.samples[:20]),
-                                                    E.embed_reference(state, reference, 256), 256)
+                                                    E.embed_reference(state, reference))
             for sample, pred in zip(queries.samples[:20], preds, strict=True):
                 per_class = {}
                 for ref_sample in reference.samples:

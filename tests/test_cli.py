@@ -855,7 +855,7 @@ class TestCommands:
         dataset = cli._preprocess(cli.settings_to_runconfig(dict(cli.DEFAULTS, seed=3, synth_n=3)))[0]
         X = M.encoder_batch(s.reflectance for s in dataset.samples)
         with blas.one_thread():  # as every command runs
-            coords, _ = E.pca_project(M.encode_batched(state, X, 16), k=2)
+            coords, _ = E.pca_project(M.encode_batched(state, X), k=2)
         rows = [line.split(",") for line in encoded.read_text().splitlines()[1:]]
         assert [[float(pc1), float(pc2)] for _, _, pc1, pc2 in rows] == coords.tolist()
         assert encoded.read_bytes() != raw.read_bytes()

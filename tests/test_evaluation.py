@@ -60,7 +60,7 @@ class TestContrastiveClassify:
         # embeddings for the other classes, so class 2 must win
         state = tiny_state(seed=5, head_out=6)
         query = make_dataset(n_per_class=1, years=(2016,), n_bands=3, n_steps=5, seed=1).samples[0]
-        z_hat, p_hat = (a[0] for a in E._unit_heads(state, query.reflectance.T[None] / 10000.0, 1))
+        z_hat, p_hat = (a[0] for a in E._unit_heads(state, query.reflectance.T[None] / 10000.0))
         assert float(z_hat @ p_hat) > 0  # seed chosen so self-similarity is attractive
         basis = [z_hat, p_hat]
         others = []
@@ -75,7 +75,7 @@ class TestContrastiveClassify:
             p_hat=np.stack([others[0], p_hat, others[1]]),
             labels=np.array([1, 2, 3]),
         )
-        preds, losses = E.contrastive_classify_batch(state, query.reflectance.T[None] / 10000.0, ref, 1)
+        preds, losses = E.contrastive_classify_batch(state, query.reflectance.T[None] / 10000.0, ref)
         assert preds.tolist() == [2]
         assert losses[0, 1] < losses[0, 0] and losses[0, 1] < losses[0, 2]
 
@@ -87,7 +87,7 @@ class TestContrastiveClassify:
             pool.band_ids, pool.n_steps,
         )
         x1 = M.encoder_batch([pool.samples[-1].reflectance])  # a potato sample
-        preds, losses = E.contrastive_classify_batch(state, x1, E.embed_reference(state, corn_only, 2), 2)
+        preds, losses = E.contrastive_classify_batch(state, x1, E.embed_reference(state, corn_only))
         assert preds.tolist() == [1]
         assert losses.shape == (1, 1)
 
@@ -99,7 +99,7 @@ class TestContrastiveClassify:
                              Sample("r2", 2016, CropClass.WINTER_BARLEY, x)), pool.band_ids, pool.n_steps)
         queries = M.encoder_batch(s.reflectance for s in pool.samples)
         preds, losses = E.contrastive_classify_batch(
-            state, queries, E.embed_reference(state, reference, 2), 4)
+            state, queries, E.embed_reference(state, reference))
         assert np.array_equal(losses[:, 0], losses[:, 1])  # classes 2 and 4, identical series
         assert preds.tolist() == [2] * len(pool)
 
@@ -109,7 +109,7 @@ class TestContrastiveClassify:
         queries = make_dataset(n_per_class=4, years=(2017,), n_bands=3, n_steps=5, seed=4)
         dn = 10000.0
         preds, _ = E.contrastive_classify_batch(state, M.encoder_batch(s.reflectance for s in queries.samples[:20]),
-                                                E.embed_reference(state, reference, 7), 7)
+                                                E.embed_reference(state, reference))
         for sample, pred in zip(queries.samples[:20], preds, strict=True):
             per_class: dict[int, list[float]] = {}
             for ref_sample in reference.samples:
@@ -133,8 +133,8 @@ class TestContrastiveClassify:
         )
         query = make_dataset(n_per_class=1, years=(2017,), n_bands=3, n_steps=5, seed=6).samples[0]
         query = M.encoder_batch([query.reflectance])
-        (a,), (la,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, reference, 256), 256)
-        (b,), (lb,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, shuffled, 256), 256)
+        (a,), (la,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, reference))
+        (b,), (lb,) = E.contrastive_classify_batch(state, query, E.embed_reference(state, shuffled))
         assert a == b
         assert np.abs(la - lb).max() < 1e-12
 
@@ -146,7 +146,7 @@ class TestContrastiveClassify:
             pool.band_ids, pool.n_steps,
         )
         with pytest.raises(ValueError):
-            E.embed_reference(state, stripped, 256)
+            E.embed_reference(state, stripped)
 
 
 class TestPca:

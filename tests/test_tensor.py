@@ -84,11 +84,9 @@ class TestSoftmax:
 
 
 def layer_norm(x, eps=1e-5):
-    """The standardisation the attention and feed-forward nodes end with, on a copy of
-    x, with unit gain and zero bias."""
-    x = np.array(x, dtype=np.float64)
-    d = x.shape[-1]
-    return T._normalize(x, Tensor(np.ones(d)), Tensor(np.zeros(d)), eps, -1)[0]
+    """The standardisation the attention and feed-forward nodes end with (their xhat),
+    on a copy of x."""
+    return T._normalize(np.array(x, dtype=np.float64), eps, -1)[0]
 
 
 class TestLayerNorm:
@@ -264,27 +262,35 @@ class TestFusedNodes:
             **{f"b{c}": rng.normal(size=d) for c in "qkvo"},
             gain=rng.normal(size=d) + 1.5,
             bias=rng.normal(size=d),
+            gain_out=rng.normal(size=d) + 1.5,
+            bias_out=rng.normal(size=d),
         )
         target = Tensor(rng.normal(size=(2, 5, d)))
 
         def loss():
             params = [p[f"{kind}{c}"] for c in "qkvo" for kind in "wb"]
-            return R.sum_all(T.mul(T.attention(p["x"], *params, p["gain"], p["bias"], n_heads=2), target))
+            out = T.attention(p["x"], *params, n_heads=2, norm=(p["gain"], p["bias"]))
+            return R.sum_all(T.mul(T.affine(out, p["gain_out"], p["bias_out"]), target))
 
         self.check(p, loss)
 
     @staticmethod
     def node_params(node, rng, b=2, t=3, k=4, f=5, values=None):
         """Inputs of `node` (x first), each drawn by values(name, shape) (normal draws
-        by default)."""
+        by default).  A block's gain and bias are those of the layer norm before it,
+        which it applies to x ("first_attention" has none: it takes x as it is), and
+        gain_out and bias_out those of its own norm."""
         values = values or (lambda name, shape: rng.normal(size=shape))
         if node == "embed":
             shapes = {"x": (b, t, k), "w": (k, f), "b": (f,)}
         elif node == "feed_forward":
             shapes = {"x": (b, t, k), "w1": (k, f), "b1": (f,), "w2": (f, k), "b2": (k,), "gain": (k,), "bias": (k,)}
         else:
-            shapes = {"x": (b, t, k), **{f"{kind}{c}": (k, k)[kind == "b":] for c in "qkvo" for kind in "wb"},
-                      "gain": (k,), "bias": (k,)}
+            shapes = {"x": (b, t, k), **{f"{kind}{c}": (k, k)[kind == "b":] for c in "qkvo" for kind in "wb"}}
+            if node == "attention":
+                shapes.update(gain=(k,), bias=(k,))
+        if node != "embed":
+            shapes.update(gain_out=(k,), bias_out=(k,))
         return params_of(**{name: values(name, shape) for name, shape in shapes.items()})
 
     @staticmethod
@@ -294,28 +300,34 @@ class TestFusedNodes:
 
     @classmethod
     def fused(cls, node, p, pos):
+        """embed, or the block on x and the norm before it, then `affine` with its own
+        norm's gain and bias."""
         if node == "embed":
             return T.embed(p["x"], p["w"], p["b"], 1.5, pos)
+        norm = (p["gain"], p["bias"]) if "gain" in p else ()
         if node == "feed_forward":
-            return T.feed_forward(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], p["gain"], p["bias"])
-        params, heads = cls.attention_params(p)
-        return T.attention(p["x"], *params, p["gain"], p["bias"], n_heads=heads)
+            out = T.feed_forward(p["x"], p["w1"], p["b1"], p["w2"], p["b2"], norm=norm)
+        else:
+            params, heads = cls.attention_params(p)
+            out = T.attention(p["x"], *params, n_heads=heads, norm=norm)
+        return T.affine(out, p["gain_out"], p["bias_out"])
 
     @classmethod
     def unfused(cls, node, p, pos):
-        """The graphs the fused nodes replace: linear -> scale -> add(pos); linear ->
-        relu -> linear -> add -> layer_norm; attention as one node that keeps its
-        context -> layer_norm."""
+        """The graphs the fused nodes replace: linear -> scale -> add(pos); affine ->
+        linear -> relu -> linear -> add -> layer_norm; affine (none for the first) ->
+        attention as one node that keeps its context -> layer_norm."""
         if node == "embed":
             y = T.scale(T.linear(p["x"], p["w"], p["b"]), 1.5)
             return T.add(y, Tensor(np.ascontiguousarray(np.broadcast_to(pos, y.shape))))
+        a = R.affine(p["x"], p["gain"], p["bias"]) if "gain" in p else p["x"]
         if node == "feed_forward":
-            hidden = T.relu(T.linear(p["x"], p["w1"], p["b1"]))
-            y = T.add(p["x"], T.linear(hidden, p["w2"], p["b2"]))
+            hidden = T.relu(T.linear(a, p["w1"], p["b1"]))
+            y = T.add(a, T.linear(hidden, p["w2"], p["b2"]))
         else:
             params, heads = cls.attention_params(p)
-            y = R.attention(p["x"], *params, n_heads=heads)
-        return R.layer_norm(y, p["gain"], p["bias"])
+            y = R.attention(a, *params, n_heads=heads)
+        return R.layer_norm(y, p["gain_out"], p["bias_out"])
 
     @pytest.mark.parametrize("node", ["embed", "feed_forward"])
     @pytest.mark.parametrize("seed", range(2))
@@ -327,7 +339,7 @@ class TestFusedNodes:
         self.check(p, lambda: R.sum_all(T.mul(self.fused(node, p, pos), target)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("node", ["embed", "feed_forward", "attention"])
+    @pytest.mark.parametrize("node", ["embed", "feed_forward", "attention", "first_attention"])
     @pytest.mark.parametrize("b, t, k, f", [(5, 7, 13, 37), (16, 14, 64, 256)])
     def test_embed_and_feed_forward_bitwise_equal_the_unfused_graph(self, node, b, t, k, f):
         """-0.0, +-inf and NaN in x, the weights and the incoming gradient, all read-only.
@@ -335,17 +347,18 @@ class TestFusedNodes:
         makes every score NaN, so there the specials sit in one token of every other
         series (a different token each), in x and in the gradient."""
         rng = np.random.default_rng(b + f)
-        every = 2 * t + 1 if node == "attention" else 3
+        attention = node.endswith("attention")
+        every = 2 * t + 1 if attention else 3
 
         def draw(name, shape):
-            special = len(shape) > 1 and (node != "attention" or name == "x")
+            special = len(shape) > 1 and (not attention or name == "x")
             return read_only(with_specials(rng, shape, every) if special else rng.normal(size=shape))
 
         p = self.node_params(node, rng, b, t, k, f, values=draw)
         pos = read_only(rng.normal(size=(t, f if node == "embed" else k)))
         out, want = self.fused(node, p, pos), self.unfused(node, p, pos)
         assert bits_equal(out.data, want.data)
-        g = with_specials(rng, out.shape, every=2 * t + 1 if node == "attention" else 2)
+        g = with_specials(rng, out.shape, every=2 * t + 1 if attention else 2)
         g[np.isnan(g)] = PAYLOAD_NAN  # unlike a generated NaN, so the order of a sum shows
         g = read_only(g)
         grads, want_grads = T.gradients(out, p, grad=g), T.gradients(want, p, grad=g)
@@ -367,6 +380,15 @@ class TestFusedNodes:
         shape = re.escape(str(pos.shape if wrong == "pos" else p[wrong].shape))
         with pytest.raises(ShapeMismatch, match=f"{node} needs.*{shape}"):
             self.fused(node, p, pos)
+
+
+    def test_affine_and_block_norms_name_wrong_shapes(self):
+        p = self.node_params("attention", np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch, match=r"affine needs.*\(4,\), \(5,\)"):
+            T.affine(p["x"], p["gain"], Tensor(np.zeros(5)))
+        params, heads = self.attention_params(p)
+        with pytest.raises(ShapeMismatch, match="attention on .* norm \\(\\) or gain and bias"):
+            T.attention(p["x"], *params, n_heads=heads, norm=(p["gain"],))
 
 
 class TestSingleUseTape:
@@ -544,9 +566,11 @@ class TestElementwiseKernels:
         bias = read_only(rng.normal(size=d))
         p = params_of(gain=gain, bias=bias)
         a = Tensor(x, requires_grad=True)
-        if kind == "layer":  # the layer norm the attention and feed-forward nodes end with
-            out, xhat, inv, mean, var = T._normalize(x.copy(), p["gain"], p["bias"], 1e-5, -1)
-            grads = T._normalize_backward(g, xhat, inv, p["gain"], -1)
+        if kind == "layer":  # a block's standardisation, then the affine its consumer applies
+            xhat, inv, mean, var = T._normalize(x.copy(), 1e-5, -1)
+            out = T._affine(xhat, (p["gain"], p["bias"]))
+            gx, *grads = T._affine_backward(g.reshape(-1, d), xhat.reshape(-1, d), (p["gain"], p["bias"]))
+            grads = [T._normalize_backward(gx.reshape(shape), xhat, inv, -1), *grads]
             want = reference_normalize(x, gain, bias, 1e-5, -1, g)
         else:
             out, mean, var = T.batch_norm(a, p["gain"], p["bias"])

@@ -33,7 +33,7 @@ def two_blob_dataset(n_per_class=6, seed=0):
 
 
 def train_accuracy(state, dataset):
-    pred = M.predict_classes(state, M.encoder_batch(s.reflectance for s in dataset.samples), len(dataset))
+    pred = M.predict_classes(state, M.encoder_batch(s.reflectance for s in dataset.samples))
     return (pred == dataset.labels_array()).mean()
 
 
